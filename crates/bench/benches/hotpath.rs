@@ -1,6 +1,6 @@
 //! The wire-frame hot-path baseline: a machine-readable benchmark
 //! comparing the three ways a packet moves through the Unroller control
-//! block, plus the sharded engine end to end on the zero-copy path.
+//! block.
 //!
 //! Paths measured (single-threaded, default parameters, 64-byte
 //! frames, 16 distinct switch pipelines round-robined so the walk
@@ -15,10 +15,8 @@
 //!   read and rewrite shim bits directly in the frame buffer, no
 //!   decode, no allocation.
 //!
-//! The engine section replays an identically-seeded synthetic stream
-//! through the full runtime (dispatcher → rings → workers →
-//! aggregator) per shard count; workers use the in-place path on
-//! reusable scratch frames.
+//! The engine end to end is measured by `perfbench`
+//! (`python3 perfbench/run.py`), not here.
 //!
 //! Output is JSON (written with [`unroller_engine::Json`], schema
 //! documented in `results/README.md`):
@@ -38,7 +36,7 @@ use unroller_core::UnrollerParams;
 use unroller_dataplane::header::{HeaderLayout, WireHeader};
 use unroller_dataplane::parser::build_frame;
 use unroller_dataplane::{EthernetHeader, UnrollerPipeline};
-use unroller_engine::{Engine, EngineConfig, FullPolicy, Json, SyntheticSource};
+use unroller_engine::Json;
 
 const SWITCHES: u32 = 16;
 /// Reset the walked header/frame to its initial state every this many
@@ -126,45 +124,6 @@ fn bench_frame_in_place_path(pipes: &[UnrollerPipeline], template: &[u8], iters:
     PathStats::from_total(total, iters)
 }
 
-fn bench_engine(shards: usize, packets: u64) -> Json {
-    let ids: Vec<u32> = (0..64).map(|i| 100 + i).collect();
-    let engine = Engine::new(
-        EngineConfig {
-            shards,
-            full_policy: FullPolicy::Block,
-            ..EngineConfig::default()
-        },
-        &ids,
-    )
-    .expect("engine config");
-    // Identically-seeded stream per shard count; every 8th of 32 flows
-    // loops from a quarter of the way in.
-    let mut best_wall_ns = u64::MAX;
-    let mut report = None;
-    for _ in 0..3 {
-        let mut source = SyntheticSource::new(64, 32, packets, 8, packets / 4, 17);
-        let r = engine.run(&mut source).expect("fault-free run");
-        assert!(r.accounted(), "engine accounting must balance");
-        if r.wall_ns < best_wall_ns {
-            best_wall_ns = r.wall_ns;
-            report = Some(r);
-        }
-    }
-    let report = report.expect("at least one run");
-    let mut obj = Json::object();
-    obj.set("shards", Json::UInt(shards as u64));
-    obj.set("packets", Json::UInt(packets));
-    obj.set("wall_pps", Json::Float(report.wall_pps()));
-    obj.set(
-        "ns_per_packet",
-        Json::Float(best_wall_ns as f64 / packets as f64),
-    );
-    let hops: u64 = report.shard_snapshots.iter().map(|s| s.hops).sum();
-    obj.set("hops", Json::UInt(hops));
-    obj.set("loop_detected", Json::Bool(report.loop_detected()));
-    obj
-}
-
 fn main() {
     let mut quick = false;
     // `cargo bench` runs with the crate as CWD; anchor the default at
@@ -194,8 +153,6 @@ fn main() {
     }
 
     let iters: u64 = if quick { 200_000 } else { 2_000_000 };
-    let engine_packets: u64 = if quick { 20_000 } else { 200_000 };
-    let shard_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
 
     let params = UnrollerParams::default();
     let layout = HeaderLayout::from_params(&params);
@@ -225,12 +182,6 @@ fn main() {
         );
     }
 
-    let mut engine_runs = Vec::new();
-    for &shards in shard_counts {
-        eprintln!("hotpath: engine end-to-end at {shards} shard(s) ({engine_packets} packets)...");
-        engine_runs.push(bench_engine(shards, engine_packets));
-    }
-
     let mut dataplane = Json::object();
     dataplane.set("struct_path", struct_path.to_json(iters));
     dataplane.set("frame_alloc_path", alloc_path.to_json(iters));
@@ -243,9 +194,6 @@ fn main() {
     root.set("switch_pipelines", Json::UInt(SWITCHES as u64));
     root.set("params", Json::Str(params.to_string()));
     root.set("dataplane", dataplane);
-    let mut engine_obj = Json::object();
-    engine_obj.set("runs", Json::Array(engine_runs));
-    root.set("engine", engine_obj);
     let rendered = root.render_pretty();
 
     if let Some(parent) = std::path::Path::new(&out).parent() {

@@ -47,5 +47,5 @@ pub mod resources;
 pub use header::{HeaderLayout, WireHeader};
 pub use parser::{EthernetHeader, FrameError, ETHERTYPE_UNROLLER, ETH_HEADER_LEN};
 pub use pcap::{PcapError, PcapItem, PcapReader, PcapRecord, PcapStream, PcapWriter};
-pub use pipeline::{process_frame_batch_stepped, UnrollerPipeline, STEP_LANES};
+pub use pipeline::UnrollerPipeline;
 pub use resources::ResourceReport;

@@ -226,23 +226,6 @@ impl UnrollerPipeline {
         Verdict::Continue
     }
 
-    /// Processes a batch of shim headers through this switch's control
-    /// block, appending one [`Verdict`] per header to `verdicts` (in
-    /// batch order). This is the entry point the `unroller-engine`
-    /// runtime drives: a software switch amortizes per-packet dispatch
-    /// over a batch exactly like DPDK-style burst processing, and the
-    /// register file is read-only per packet, so a batch needs no
-    /// intra-batch synchronization.
-    ///
-    /// Equivalent to calling [`UnrollerPipeline::process_header`] on
-    /// each header in order (the equivalence test below checks this).
-    pub fn process_batch(&self, batch: &mut [WireHeader], verdicts: &mut Vec<Verdict>) {
-        verdicts.reserve(batch.len());
-        for hdr in batch.iter_mut() {
-            verdicts.push(self.process_header(hdr));
-        }
-    }
-
     /// Processing for the TTL-inferred hop-count configuration (paper
     /// footnote 3: "in cases where the hop number can be inferred from
     /// the TTL we can avoid storing Xcnt"): the shim carries no `Xcnt`
@@ -348,21 +331,6 @@ impl UnrollerPipeline {
         Verdict::Continue
     }
 
-    /// Burst-processes a batch of frames through the zero-copy path,
-    /// appending one result per frame to `results` (in batch order).
-    /// Equivalent to calling [`Self::process_frame_in_place`] on each
-    /// frame in order.
-    pub fn process_frame_batch_in_place<F: AsMut<[u8]>>(
-        &self,
-        frames: &mut [F],
-        results: &mut Vec<Result<Verdict, FrameError>>,
-    ) {
-        results.reserve(frames.len());
-        for frame in frames.iter_mut() {
-            results.push(self.process_frame_in_place(frame.as_mut()));
-        }
-    }
-
     /// The resource footprint of this pipeline (the Table 4 substitute;
     /// see `DESIGN.md` §3).
     pub fn resources(&self) -> ResourceReport {
@@ -391,53 +359,6 @@ impl UnrollerPipeline {
             per_packet_compares: (p.c * p.h) as u64,
             per_packet_min_updates: p.h as u64,
         }
-    }
-}
-
-/// Number of frames a hop-stepped burst advances in lockstep — sized so
-/// the working set (16 frames × a cache line or two of shim each, plus
-/// lane state) stays L1-resident while the per-lane register/LUT reads
-/// overlap.
-pub const STEP_LANES: usize = 16;
-
-/// Advances a burst of in-flight frames **one hop-step each**, lane `i`
-/// through the pipeline of switch `nodes[i]`, appending one result per
-/// lane to `results` (in lane order).
-///
-/// This is the hop-major dual of
-/// [`UnrollerPipeline::process_frame_batch_in_place`] (which is
-/// frame-major: one frame through many hops before the next frame
-/// starts). Stepping hop-major keeps 8–16 independent shim
-/// reads/rewrites in flight at once: every lane performs the same fixed
-/// sequence of `bitio` fixed-offset field accesses on its own buffer,
-/// so the loads pipeline, the cache misses overlap, and the per-hop
-/// LUT/register reads amortize across the burst. Register files are
-/// read-only per packet, so lanes need no intra-burst synchronization.
-///
-/// Bit-exact with calling
-/// [`UnrollerPipeline::process_frame_in_place`] per lane (the
-/// equivalence test below checks this across parameter space and
-/// random in-flight shim states).
-///
-/// # Panics
-///
-/// Panics if `frames` and `nodes` disagree in length or a node index is
-/// out of range for `pipelines` — callers (the engine worker) validate
-/// route hops against the pipeline count before a frame enters a lane.
-pub fn process_frame_batch_stepped<F: AsMut<[u8]>>(
-    pipelines: &[UnrollerPipeline],
-    frames: &mut [F],
-    nodes: &[usize],
-    results: &mut Vec<Result<Verdict, FrameError>>,
-) {
-    assert_eq!(
-        frames.len(),
-        nodes.len(),
-        "one hop node per in-flight frame"
-    );
-    results.reserve(frames.len());
-    for (frame, &node) in frames.iter_mut().zip(nodes) {
-        results.push(pipelines[node].process_frame_in_place(frame.as_mut()));
     }
 }
 
@@ -567,52 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn process_batch_matches_per_header_processing() {
-        // The batched entry point must be observationally identical to
-        // calling process_header per packet, across parameter space.
-        let mut rng = unroller_core::test_rng(77);
-        for params in [
-            UnrollerParams::default(),
-            UnrollerParams::default().with_c(2).with_h(2).with_z(12),
-            UnrollerParams::default().with_b(3).with_th(2),
-        ] {
-            let layout = HeaderLayout::from_params(&params);
-            let pipe = UnrollerPipeline::new(42, params).unwrap();
-            // Headers at assorted journey stages, including revisits.
-            let mut batch: Vec<WireHeader> = (0..64)
-                .map(|_| {
-                    let mut hdr = WireHeader::initial(&layout);
-                    hdr.xcnt = rng.gen_range(0..200);
-                    for slot in hdr.swids.iter_mut() {
-                        *slot = rng.gen::<u32>() & params.z_mask();
-                    }
-                    hdr
-                })
-                .collect();
-            let mut singles = batch.clone();
-            let mut verdicts = Vec::new();
-            pipe.process_batch(&mut batch, &mut verdicts);
-            assert_eq!(verdicts.len(), singles.len());
-            for (i, hdr) in singles.iter_mut().enumerate() {
-                assert_eq!(pipe.process_header(hdr), verdicts[i], "verdict {i}");
-                assert_eq!(*hdr, batch[i], "header {i} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn process_batch_appends_without_clearing() {
-        let params = UnrollerParams::default();
-        let layout = HeaderLayout::from_params(&params);
-        let pipe = UnrollerPipeline::new(9, params).unwrap();
-        let mut batch = vec![WireHeader::initial(&layout); 3];
-        let mut verdicts = vec![Verdict::LoopReported]; // pre-existing entry
-        pipe.process_batch(&mut batch, &mut verdicts);
-        assert_eq!(verdicts.len(), 4, "appends after existing entries");
-        assert!(verdicts[1..].iter().all(|v| !v.reported()));
-    }
-
-    #[test]
     fn in_place_matches_frame_path_on_random_walks() {
         // The zero-copy path must produce byte-identical frames and
         // identical verdicts to the decode/encode frame path, hop by
@@ -690,100 +565,6 @@ mod tests {
             Err(FrameError::WrongEthertype(0x0800))
         );
         assert_eq!(frame, before, "rejected frame must not be modified");
-    }
-
-    #[test]
-    fn frame_batch_matches_per_frame_processing() {
-        let params = UnrollerParams::default().with_c(2).with_h(2).with_z(12);
-        let layout = HeaderLayout::from_params(&params);
-        let pipe = UnrollerPipeline::new(42, params).unwrap();
-        let mut rng = unroller_core::test_rng(80);
-        let mut batch: Vec<Vec<u8>> = (0..32)
-            .map(|_| {
-                let mut hdr = WireHeader::initial(&layout);
-                hdr.xcnt = rng.gen_range(0..200);
-                for slot in hdr.swids.iter_mut() {
-                    *slot = rng.gen::<u32>() & params.z_mask();
-                }
-                build_frame(&layout, &EthernetHeader::for_hosts(1, 2), &hdr, b"batch")
-            })
-            .collect();
-        // A malformed straggler must surface as Err without derailing
-        // the rest of the burst.
-        batch.push(vec![0u8; 3]);
-        let mut singles = batch.clone();
-        let mut results = Vec::new();
-        pipe.process_frame_batch_in_place(&mut batch, &mut results);
-        assert_eq!(results.len(), singles.len());
-        for (i, frame) in singles.iter_mut().enumerate() {
-            assert_eq!(pipe.process_frame_in_place(frame), results[i], "result {i}");
-            assert_eq!(*frame, batch[i], "frame {i} diverged");
-        }
-        assert!(matches!(
-            results.last(),
-            Some(Err(FrameError::TooShort { .. }))
-        ));
-    }
-
-    #[test]
-    fn stepped_batch_matches_per_frame_processing() {
-        // The hop-stepped burst must be observationally identical to
-        // running each lane through its own switch's in-place path, for
-        // random in-flight shim states (mid-journey xcnt/swids), random
-        // per-lane switch assignments, and across parameter space.
-        let mut rng = unroller_core::test_rng(83);
-        for params in [
-            UnrollerParams::default(),
-            UnrollerParams::default().with_z(7).with_th(4),
-            UnrollerParams::default().with_c(2).with_h(2).with_z(12),
-            UnrollerParams::default().with_b(3).with_th(2),
-            UnrollerParams::default().with_c(4).with_h(1).with_z(9),
-        ] {
-            let layout = HeaderLayout::from_params(&params);
-            let pipelines: Vec<UnrollerPipeline> = (0..8)
-                .map(|sw| UnrollerPipeline::new(100 + sw, params).unwrap())
-                .collect();
-            for _ in 0..10 {
-                let lanes = rng.gen_range(1..=STEP_LANES);
-                let mut frames: Vec<Vec<u8>> = (0..lanes)
-                    .map(|_| {
-                        let mut hdr = WireHeader::initial(&layout);
-                        hdr.xcnt = rng.gen_range(0..200);
-                        for slot in hdr.swids.iter_mut() {
-                            *slot = rng.gen::<u32>() & params.z_mask();
-                        }
-                        build_frame(&layout, &EthernetHeader::for_hosts(1, 2), &hdr, b"step")
-                    })
-                    .collect();
-                let nodes: Vec<usize> = (0..lanes)
-                    .map(|_| rng.gen_range(0..pipelines.len()))
-                    .collect();
-                let mut singles = frames.clone();
-                let mut results = Vec::new();
-                process_frame_batch_stepped(&pipelines, &mut frames, &nodes, &mut results);
-                assert_eq!(results.len(), lanes);
-                for (i, frame) in singles.iter_mut().enumerate() {
-                    assert_eq!(
-                        pipelines[nodes[i]].process_frame_in_place(frame),
-                        results[i],
-                        "lane {i} verdict"
-                    );
-                    assert_eq!(*frame, frames[i], "lane {i} bytes diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn stepped_batch_surfaces_malformed_lane() {
-        let params = UnrollerParams::default();
-        let pipelines = vec![UnrollerPipeline::new(7, params).unwrap()];
-        let mut frames = vec![vec![0u8; 3]];
-        let nodes = vec![0usize];
-        let mut results = vec![Ok(Verdict::Continue)]; // pre-existing entry
-        process_frame_batch_stepped(&pipelines, &mut frames, &nodes, &mut results);
-        assert_eq!(results.len(), 2, "appends after existing entries");
-        assert!(matches!(results[1], Err(FrameError::TooShort { .. })));
     }
 
     #[test]

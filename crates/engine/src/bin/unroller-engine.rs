@@ -4,10 +4,8 @@
 //! Single-run mode processes the stream at a fixed shard count, hands
 //! the deduplicated loop reports to the controller for localization and
 //! (fault-tolerant) healing, and prints the full JSON report;
-//! `--scaling 1,2,4` replays the same (same-seed) stream at each shard
-//! count and writes the scaling report to
-//! `results/engine_scaling.json`; `--fault-sweep 0,0.5,1,2,4` replays
-//! it under the `--faults` plan scaled by each multiplier and writes
+//! `--fault-sweep 0,0.5,1,2,4` replays the same (same-seed) stream
+//! under the `--faults` plan scaled by each multiplier and writes
 //! detection recall and heal latency per fault level to
 //! `results/engine_faults.json`.
 
@@ -17,7 +15,7 @@ use std::time::Duration;
 use unroller_control::{Controller, FlakyHealer, HealPolicy, HealReport, SimHealer};
 use unroller_dataplane::{HeaderLayout, PcapWriter};
 use unroller_engine::{
-    aggregate::deliver, run_scaling, CaptureSource, ChurnPlan, ChurnSource, ControllerSink, Engine,
+    aggregate::deliver, CaptureSource, ChurnPlan, ChurnSource, ControllerSink, Engine,
     EngineConfig, EngineReport, FaultPlan, FlowKey, FullPolicy, HistogramSnapshot, Json,
     LoopInjection, MemoConfig, PcapReplaySource, ReplaySource, TrafficSource, DEFAULT_SAMPLE_EVERY,
 };
@@ -28,7 +26,6 @@ use unroller_verify::FwdChecker;
 
 struct Options {
     shards: usize,
-    scaling: Option<Vec<usize>>,
     fault_sweep: Option<Vec<f64>>,
     packets: u64,
     batch: usize,
@@ -55,14 +52,12 @@ struct Options {
     churn: Option<ChurnPlan>,
     memo: bool,
     memo_sample: u64,
-    stepped: bool,
 }
 
 impl Default for Options {
     fn default() -> Self {
         Options {
             shards: 2,
-            scaling: None,
             fault_sweep: None,
             packets: 200_000,
             batch: 64,
@@ -89,7 +84,6 @@ impl Default for Options {
             churn: None,
             memo: false,
             memo_sample: DEFAULT_SAMPLE_EVERY,
-            stepped: false,
         }
     }
 }
@@ -103,9 +97,7 @@ fn usage() -> ! {
          mid-stream (detected in-band by the per-switch pipelines).\n\
          \n\
          options:\n\
-           --shards N        worker shards for a single run (default 2)\n\
-           --scaling LIST    comma-separated shard counts (e.g. 1,2,4);\n\
-                             runs each and writes a scaling report\n\
+           --shards N        worker shards (default 2)\n\
            --packets N       total packets to stream (default 200000)\n\
            --batch N         max packets per processing batch (default 64)\n\
            --ring N          per-shard ring capacity (default 1024)\n\
@@ -118,9 +110,8 @@ fn usage() -> ! {
            --ttl N           per-packet hop budget (default 64)\n\
            --policy P        drop | block on full rings (default drop)\n\
            --seed N          traffic seed (default 1)\n\
-           --out PATH        write the JSON report here (scaling mode\n\
-                             defaults to results/engine_scaling.json,\n\
-                             fault sweeps to results/engine_faults.json)\n\
+           --out PATH        write the JSON report here (fault sweeps\n\
+                             default to results/engine_faults.json)\n\
            --snapshot-ms N   print live metric snapshots to stderr\n\
            --expect-loop     exit 1 unless a loop was detected\n\
            --faults SPEC     seeded fault plan, comma-separated k=v:\n\
@@ -179,9 +170,6 @@ fn usage() -> ! {
            --memo-sample N   cross-check one in N cache hits with a full\n\
                              walk (default 64; 0 = never, 1 = every hit;\n\
                              implies --memo)\n\
-           --stepped         walk batches of unmemoized packets in\n\
-                             lock-step, one hop per pass across 16\n\
-                             in-flight frames (best with --memo)\n\
            --help            this text"
     );
     std::process::exit(0);
@@ -207,18 +195,6 @@ fn parse_args() -> Options {
         }
         match arg.as_str() {
             "--shards" => opts.shards = num("--shards", value("--shards")),
-            "--scaling" => {
-                let list = value("--scaling");
-                let counts: Vec<usize> = list
-                    .split(',')
-                    .map(|p| num("--scaling", p.trim().to_string()))
-                    .collect();
-                if counts.is_empty() || counts.contains(&0) {
-                    eprintln!("unroller-engine: --scaling needs positive shard counts");
-                    std::process::exit(2);
-                }
-                opts.scaling = Some(counts);
-            }
             "--fault-sweep" => {
                 let list = value("--fault-sweep");
                 let mults: Vec<f64> = list
@@ -280,7 +256,6 @@ fn parse_args() -> Options {
                 opts.memo_sample = num("--memo-sample", value("--memo-sample"));
                 opts.memo = true;
             }
-            "--stepped" => opts.stepped = true,
             "--shed" => opts.shed = true,
             "--pin" => opts.pin = true,
             "--watchdog-ms" => {
@@ -323,7 +298,9 @@ fn pick_injection(graph: &Graph, dst: NodeId, at_packet: u64) -> LoopInjection {
     panic!("topology has no link avoiding node {dst}");
 }
 
-fn write_report(path: &str, contents: &str) {
+/// Writes `contents` to `path`, creating missing parent directories;
+/// exits 1 on any I/O error.
+fn write_report(path: &str, contents: &[u8]) {
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).unwrap_or_else(|e| {
@@ -336,7 +313,20 @@ fn write_report(path: &str, contents: &str) {
         eprintln!("unroller-engine: cannot write {path}: {e}");
         std::process::exit(1);
     });
-    eprintln!("wrote {path}");
+    eprintln!("wrote {path} ({} bytes)", contents.len());
+}
+
+/// Finishes a `--capture` run: takes the pcap writer back from the
+/// (already dropped) capture tee and writes the capture to `path`. A
+/// poisoned writer is recovered: `PcapWriter::push` cannot panic
+/// part-way through a record, so every record it holds is whole.
+fn write_capture(path: &str, writer: Arc<Mutex<PcapWriter>>) {
+    let pcap = Arc::try_unwrap(writer)
+        .expect("capture writer uniquely owned after the run")
+        .into_inner()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .finish();
+    write_report(path, &pcap);
 }
 
 /// Derives looping-flow ground truth statically: installs the
@@ -481,26 +471,20 @@ fn localize_and_heal(
 fn main() {
     let opts = parse_args();
     if (opts.replay.is_some() || opts.capture.is_some() || opts.events_out.is_some())
-        && (opts.scaling.is_some() || opts.fault_sweep.is_some())
+        && opts.fault_sweep.is_some()
     {
         eprintln!("unroller-engine: --replay/--capture/--events-out are single-run options");
         std::process::exit(2);
     }
-    if opts.oracle
-        && (opts.replay.is_some() || opts.scaling.is_some() || opts.fault_sweep.is_some())
-    {
+    if opts.oracle && (opts.replay.is_some() || opts.fault_sweep.is_some()) {
         eprintln!("unroller-engine: --oracle applies to single-run synthetic traffic only");
         std::process::exit(2);
     }
-    if opts.churn.is_some()
-        && (opts.replay.is_some()
-            || opts.oracle
-            || opts.scaling.is_some()
-            || opts.fault_sweep.is_some())
+    if opts.churn.is_some() && (opts.replay.is_some() || opts.oracle || opts.fault_sweep.is_some())
     {
         eprintln!(
             "unroller-engine: --churn is a single-run mode with its own live oracle \
-             (no --replay/--oracle/--scaling/--fault-sweep)"
+             (no --replay/--oracle/--fault-sweep)"
         );
         std::process::exit(2);
     }
@@ -547,7 +531,6 @@ fn main() {
         memo: opts.memo.then_some(MemoConfig {
             sample_every: opts.memo_sample,
         }),
-        stepped: opts.stepped,
         ..EngineConfig::default()
     };
 
@@ -572,34 +555,7 @@ fn main() {
         (sim, source)
     };
 
-    if let Some(shard_counts) = &opts.scaling {
-        let report =
-            run_scaling(&cfg, &ids, shard_counts, || Box::new(build().1)).unwrap_or_else(|e| {
-                eprintln!("unroller-engine: {e}");
-                std::process::exit(2);
-            });
-        let caps = report.capacity_speedups();
-        for (run, cap) in report.runs.iter().zip(&caps) {
-            eprintln!(
-                "shards={:<2} wall_pps={:>12.0} capacity_pps={:>12.0} speedup={cap:.2}x \
-                 drops={} loops={}",
-                run.shards,
-                run.report.wall_pps(),
-                run.report.aggregate_capacity_pps(),
-                run.report.dropped_full(),
-                run.report.aggregator.unique_flows,
-            );
-        }
-        let out = opts
-            .out
-            .clone()
-            .unwrap_or_else(|| "results/engine_scaling.json".to_string());
-        write_report(&out, &report.to_json().render_pretty());
-        if opts.expect_loop && !report.runs.iter().all(|r| r.report.loop_detected()) {
-            eprintln!("unroller-engine: expected a loop detection in every run");
-            std::process::exit(1);
-        }
-    } else if let Some(multipliers) = &opts.fault_sweep {
+    if let Some(multipliers) = &opts.fault_sweep {
         if !opts.faults.active() {
             eprintln!("unroller-engine: --fault-sweep needs an active --faults plan to scale");
             std::process::exit(2);
@@ -664,7 +620,7 @@ fn main() {
             .out
             .clone()
             .unwrap_or_else(|| "results/engine_faults.json".to_string());
-        write_report(&out, &sweep.render_pretty());
+        write_report(&out, sweep.render_pretty().as_bytes());
     } else if let Some(plan) = opts.churn.clone() {
         // Live churn: the control plane fails and heals links while the
         // engine is processing, publishing each recompiled route set as
@@ -708,24 +664,7 @@ fn main() {
             }),
         };
         if let (Some(path), Some(writer)) = (&opts.capture, capture_writer) {
-            let pcap = Arc::try_unwrap(writer)
-                .expect("capture writer uniquely owned after the run")
-                .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .finish();
-            if let Some(parent) = std::path::Path::new(path).parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent).unwrap_or_else(|e| {
-                        eprintln!("unroller-engine: cannot create {}: {e}", parent.display());
-                        std::process::exit(1);
-                    });
-                }
-            }
-            std::fs::write(path, &pcap).unwrap_or_else(|e| {
-                eprintln!("unroller-engine: cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote {path} ({} bytes)", pcap.len());
+            write_capture(path, writer);
         }
         if let Some(path) = &opts.events_out {
             if let Some(err) = &report.event_log_error {
@@ -791,7 +730,7 @@ fn main() {
         let rendered = rendered.render_pretty();
         println!("{rendered}");
         if let Some(out) = &opts.out {
-            write_report(out, &rendered);
+            write_report(out, rendered.as_bytes());
         }
         if !report.accounted() {
             eprintln!("unroller-engine: internal accounting mismatch");
@@ -887,24 +826,7 @@ fn main() {
         });
         if let (Some(path), Some(writer)) = (&opts.capture, capture_writer) {
             drop(source); // release the tee's clone of the writer
-            let pcap = Arc::try_unwrap(writer)
-                .expect("capture writer uniquely owned after the run")
-                .into_inner()
-                .expect("capture writer poisoned")
-                .finish();
-            if let Some(parent) = std::path::Path::new(path).parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent).unwrap_or_else(|e| {
-                        eprintln!("unroller-engine: cannot create {}: {e}", parent.display());
-                        std::process::exit(1);
-                    });
-                }
-            }
-            std::fs::write(path, &pcap).unwrap_or_else(|e| {
-                eprintln!("unroller-engine: cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote {path} ({} bytes)", pcap.len());
+            write_capture(path, writer);
         }
         if let Some(path) = &opts.events_out {
             if let Some(err) = &report.event_log_error {
@@ -934,7 +856,7 @@ fn main() {
         let rendered = rendered.render_pretty();
         println!("{rendered}");
         if let Some(out) = &opts.out {
-            write_report(out, &rendered);
+            write_report(out, rendered.as_bytes());
         }
         if !report.accounted() {
             eprintln!("unroller-engine: internal accounting mismatch");

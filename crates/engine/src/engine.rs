@@ -97,10 +97,6 @@ pub struct EngineConfig {
     /// ([`MemoConfig::sample_every`] sets the 1-in-N cross-check rate);
     /// `None` walks every packet.
     pub memo: Option<MemoConfig>,
-    /// Advance unmemoized generated walks through the hop-stepped lane
-    /// pool (`dataplane::pipeline::process_frame_batch_stepped`)
-    /// instead of one packet at a time.
-    pub stepped: bool,
 }
 
 /// Where and under what identity [`EngineConfig::events_log`] writes.
@@ -129,7 +125,6 @@ impl Default for EngineConfig {
             pin_cores: false,
             events_log: None,
             memo: None,
-            stepped: false,
         }
     }
 }
@@ -538,7 +533,6 @@ impl Engine {
                     kick: kicks[shard].clone(),
                     pin_core: self.cfg.pin_cores.then_some(shard % cpus),
                     memo: self.cfg.memo,
-                    stepped: self.cfg.stepped,
                 };
                 scope.spawn(move || worker.run());
             }

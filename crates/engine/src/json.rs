@@ -2,7 +2,7 @@
 //!
 //! The workspace's `serde`/`serde_json` entries are offline vendor
 //! stubs (see `DESIGN.md` §9), so the engine renders its snapshots and
-//! scaling reports through this small value tree instead. Only what the
+//! reports through this small value tree instead. Only what the
 //! reports need: objects keep insertion order, floats render with
 //! enough precision to round-trip, and non-finite floats become `null`
 //! (NaN/∞ are not JSON — better an explicit null than an unparseable

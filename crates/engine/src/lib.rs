@@ -11,10 +11,10 @@
 //! the per-switch pipelines ([`worker`]), and funnels loop events to an
 //! aggregator that dedupes per flow and hands localized reports to the
 //! `unroller-control` controller ([`aggregate`]). A metrics layer
-//! ([`metrics`]) keeps per-shard counters and latency histograms, and
-//! [`scaling`] packages multi-shard-count experiments into the JSON
-//! report (`results/engine_scaling.json`) the repo's evaluation
-//! tracks.
+//! ([`metrics`]) keeps per-shard counters and latency histograms. The
+//! engine's throughput, CPU cost per packet and detection latency are
+//! measured end to end by the `perfbench` package at the repository
+//! root (`python3 perfbench/run.py`).
 //!
 //! The runtime is built to *misbehave on request*: a seeded
 //! [`faults::FaultPlan`] injects worker panics, header bit-flips, ring
@@ -61,7 +61,6 @@ pub mod metrics;
 pub mod packet;
 pub mod ring;
 pub mod route;
-pub mod scaling;
 pub mod source;
 pub mod supervise;
 pub mod worker;
@@ -79,7 +78,6 @@ pub use metrics::{Histogram, HistogramSnapshot, ShardMetrics, ShardSnapshot};
 pub use packet::{EnginePacket, PathSpec};
 pub use ring::{BatchPush, FullPolicy, PushOutcome, RingCounters, RingCountersSnapshot};
 pub use route::{CompiledRoute, RouteId, RouteSet, RouteSetBuilder};
-pub use scaling::{run_scaling, ScalingReport, ScalingRun};
 pub use source::{
     CaptureSource, LoopInjection, PcapReplaySource, ReplaySource, SyntheticSource, TrafficSource,
 };

@@ -5,7 +5,7 @@
 //! *bounded*, so a slow shard pushes back on the dispatcher instead of
 //! ballooning memory, and every enqueue-full outcome is **counted** —
 //! a packet is either enqueued, or recorded as dropped/stalled, never
-//! silently lost. That accounting is what lets the scaling report
+//! silently lost. That accounting is what lets the engine report
 //! state drop rates instead of implying zero by omission.
 //!
 //! The implementation is a power-of-two slot array with head/tail
@@ -50,7 +50,7 @@ pub enum FullPolicy {
     #[default]
     Drop,
     /// Count a stall, then block until the consumer frees a slot
-    /// (lossless mode for scaling measurements).
+    /// (lossless mode for throughput measurements).
     Block,
 }
 

@@ -44,16 +44,11 @@
 //! on every generation swap — both caches are keyed to the reader's
 //! pinned generation — so a swapped-in route reusing a slot never
 //! serves a stale verdict. Replayed frames and faulted packets always
-//! take the sequential walk.
+//! walk.
 //!
-//! **Hop-stepped residual walks.** With stepped batching enabled
-//! ([`EngineConfig::stepped`](crate::engine::EngineConfig::stepped)),
-//! unmemoized generated packets are deferred into a lane pool and
-//! advanced one hop-step at a time, [`STEP_LANES`] frames in lockstep
-//! ([`process_frame_batch_stepped`]): the per-hop fixed-offset shim
-//! accesses of independent frames overlap instead of serializing one
-//! packet's walk at a time. Lane outcomes settle through the same
-//! accounting as sequential walks.
+//! **One walk per packet.** Every packet resolves its route once, then
+//! settles from either the memo or a single walk, in batch order;
+//! both outcomes go through the same accounting.
 //!
 //! **Supervision.** Packet processing runs inside `catch_unwind`: a
 //! panic (injected by a [`FaultPlan`](crate::faults::FaultPlan) or a
@@ -84,11 +79,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unroller_core::{SwitchId, Verdict};
+use unroller_core::SwitchId;
 use unroller_dataplane::parser::build_frame;
-use unroller_dataplane::pipeline::{process_frame_batch_stepped, STEP_LANES};
 use unroller_dataplane::{
-    EthernetHeader, FrameError, HeaderLayout, UnrollerPipeline, WireHeader, ETH_HEADER_LEN,
+    EthernetHeader, HeaderLayout, UnrollerPipeline, WireHeader, ETH_HEADER_LEN,
 };
 
 /// Cap on §3.5 membership collection: a real switch would bound the
@@ -104,11 +98,6 @@ const MIN_FRAME_LEN: usize = 64;
 /// (A real hop index never reaches it — `max_hops` caps walks far
 /// below `u32::MAX`.)
 const ROUTE_VALID: u32 = u32::MAX;
-
-/// Minimum deferred packets before a drain uses the hop-stepped lane
-/// pool; smaller backlogs walk sequentially (the lockstep overhead
-/// only pays for itself with enough independent frames in flight).
-const STEP_MIN: usize = 8;
 
 /// One shard's processing loop.
 pub struct ShardWorker {
@@ -151,68 +140,6 @@ pub struct ShardWorker {
     /// Per-route verdict memoization for generated traffic; `None`
     /// walks every packet.
     pub memo: Option<MemoConfig>,
-    /// Advance unmemoized generated walks through the hop-stepped lane
-    /// pool instead of one packet at a time.
-    pub stepped: bool,
-}
-
-/// State of one in-flight lane in the hop-stepped pool: which batch
-/// packet it carries and where its walk stands. The frame itself lives
-/// at the same index in [`StepLanes::frames`].
-#[derive(Debug, Clone, Copy)]
-struct LaneState {
-    /// Index into the current batch.
-    batch_idx: usize,
-    /// Pipeline steps completed so far.
-    hop: u32,
-    /// Cycle cursor (mirrors the sequential walk's wrap-without-modulo).
-    cycle_idx: usize,
-    /// First invalid hop of this lane's route (`ROUTE_VALID` if none).
-    err_hop: u32,
-}
-
-/// The hop-stepped lane pool: up to [`STEP_LANES`] generated packets
-/// advanced one pipeline step per iteration, in lockstep. All buffers
-/// are allocated once per worker and reused across batches.
-struct StepLanes {
-    /// One wire frame per lane (cloned from the scratch frame; only
-    /// shim bytes are ever rewritten). Slots at index ≥ `states.len()`
-    /// are free.
-    frames: Vec<Vec<u8>>,
-    /// In-flight lane states; `states[l]` walks in `frames[l]`.
-    states: Vec<LaneState>,
-    /// Per-lane node for the current step (parallel to `states`).
-    nodes: Vec<usize>,
-    /// Per-lane verdicts from the current step.
-    verdicts: Vec<Result<Verdict, FrameError>>,
-}
-
-impl StepLanes {
-    fn new(scratch: &[u8]) -> Self {
-        StepLanes {
-            frames: vec![scratch.to_vec(); STEP_LANES],
-            states: Vec::with_capacity(STEP_LANES),
-            nodes: vec![0; STEP_LANES],
-            verdicts: Vec::with_capacity(STEP_LANES),
-        }
-    }
-
-    /// Discards all in-flight lanes (after a panic), returning how many
-    /// packets were lost with them.
-    fn abandon(&mut self) -> usize {
-        let lost = self.states.len();
-        self.states.clear();
-        lost
-    }
-
-    /// Post-restart reset: fresh frames, no in-flight lanes.
-    fn reset(&mut self, scratch: &[u8]) {
-        self.states.clear();
-        for frame in &mut self.frames {
-            frame.clear();
-            frame.extend_from_slice(scratch);
-        }
-    }
 }
 
 impl ShardWorker {
@@ -254,14 +181,6 @@ impl ShardWorker {
             table.invalidate(self.routes.routes().len());
             table
         });
-        // Batch indices of generated packets deferred to the stepped
-        // drain (unmemoized walks worth overlapping).
-        let mut pending: Vec<usize> = Vec::with_capacity(self.batch_size);
-        let mut lanes: Option<StepLanes> = self.stepped.then(|| StepLanes::new(&scratch));
-        // True while the drain holds a packet it popped but has not yet
-        // settled or parked in a lane — the panic handler's precise
-        // loss count.
-        let drain_popped = Cell::new(false);
         let mut batch: Vec<EnginePacket> = Vec::with_capacity(self.batch_size);
         let mut pfaults: Vec<PacketFault> = Vec::new();
         let mut faults = self.faults.take();
@@ -333,41 +252,20 @@ impl ShardWorker {
                             &mut scratch,
                             fault,
                             &mut memo,
-                            &mut pending,
-                            i,
                         );
                     }
-                    self.drain_pending(
-                        &working,
-                        &err_hops,
-                        &batch,
-                        &mut scratch,
-                        &mut memo,
-                        &mut pending,
-                        lanes.as_mut(),
-                        &drain_popped,
-                    );
                 }));
                 if outcome.is_ok() {
                     break;
                 }
-                // Account for what the panic took down: the packet at
-                // cursor-1 when it fired in the per-packet loop, plus
-                // (in the stepped drain) every in-flight lane packet
-                // and any packet popped but not yet settled — all were
-                // already removed from `pending`, so none is retried
-                // (a deterministic poison packet must not loop the
-                // restart budget away).
-                let lanes_lost = lanes.as_mut().map_or(0, StepLanes::abandon) as u64;
-                let popped_lost = u64::from(drain_popped.replace(false));
-                let lost_now = (lanes_lost + popped_lost).max(1);
-                lost_in_batch += lost_now;
-                self.metrics
-                    .panic_lost
-                    .fetch_add(lost_now, Ordering::Relaxed);
+                // The panic took down exactly the packet at cursor-1.
+                // The cursor has already moved past it, so it is not
+                // retried (a deterministic poison packet must not loop
+                // the restart budget away).
+                lost_in_batch += 1;
+                self.metrics.panic_lost.fetch_add(1, Ordering::Relaxed);
                 if restarts >= restart_budget {
-                    let rest = (batch.len() - cursor.get()) as u64 + pending.len() as u64;
-                    pending.clear();
+                    let rest = (batch.len() - cursor.get()) as u64;
                     lost_in_batch += rest;
                     self.metrics.panic_lost.fetch_add(rest, Ordering::Relaxed);
                     draining_only = true;
@@ -384,9 +282,6 @@ impl ShardWorker {
                 scratch = self.scratch_frame();
                 if let Some(table) = memo.as_mut() {
                     table.invalidate(self.routes.routes().len());
-                }
-                if let Some(pool) = lanes.as_mut() {
-                    pool.reset(&scratch);
                 }
             }
             self.metrics
@@ -433,12 +328,11 @@ impl ShardWorker {
     }
 
     /// Processes one packet, applying this packet's injected fault (if
-    /// any). Generated packets (no frame, no fault) — whose walk is a
-    /// pure function of their route — go through the memo fast path
-    /// and/or the stepped drain when enabled; packets that carry
-    /// recorded wire bytes or an injected fault always take the
-    /// sequential walk in their own state.
-    #[allow(clippy::too_many_arguments)]
+    /// any): one checked route lookup, then one walk — or, for a
+    /// generated packet (no frame, no fault) whose walk is a pure
+    /// function of its route, the memo when enabled. Packets that carry
+    /// recorded wire bytes or an injected fault always walk in their
+    /// own state.
     fn process(
         &self,
         pipelines: &[UnrollerPipeline],
@@ -447,8 +341,6 @@ impl ShardWorker {
         scratch: &mut [u8],
         fault: PacketFault,
         memo: &mut Option<MemoTable>,
-        pending: &mut Vec<usize>,
-        index: usize,
     ) {
         let flip = match fault {
             PacketFault::Panic => {
@@ -457,31 +349,6 @@ impl ShardWorker {
             }
             PacketFault::BitFlip { at_hop, bit } => Some((at_hop, bit)),
             PacketFault::None => None,
-        };
-        if packet.frame.is_none() && flip.is_none() {
-            if self.stepped {
-                // Defer unmemoized walks to the lane drain; memo hits
-                // settle right here on the fast path.
-                let hit = memo
-                    .as_ref()
-                    .is_some_and(|m| m.lookup_verdict(packet.route.index()).is_some());
-                if !hit {
-                    pending.push(index);
-                    return;
-                }
-            }
-            self.process_generated(pipelines, err_hops, packet, scratch, memo);
-            return;
-        }
-        let frame: &mut [u8] = match packet.frame.as_mut() {
-            Some(frame) => frame,
-            None => {
-                // Source host emits an all-zero shim: reset just those
-                // bytes; everything else in the scratch frame is inert.
-                let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
-                scratch[ETH_HEADER_LEN..shim_end].fill(0);
-                scratch
-            }
         };
         // Checked lookup: a `RouteId` is minted against some generation
         // but resolved against the reader's *current* one, which may be
@@ -492,60 +359,53 @@ impl ShardWorker {
         };
         // In bounds: `err_hops` is rebuilt from the same generation the
         // checked lookup just succeeded against.
-        let err_hop = err_hops[packet.route.index()];
-        let end = self.walk_frame(pipelines, route, err_hop, frame, flip);
+        let idx = packet.route.index();
+        let err_hop = err_hops[idx];
+        let end = match (packet.frame.as_mut(), memo.as_mut()) {
+            (Some(frame), _) => self.walk_frame(pipelines, route, err_hop, frame, flip),
+            (None, Some(table)) if flip.is_none() => {
+                self.walk_memoized(pipelines, route, err_hop, idx, scratch, table)
+            }
+            (None, _) => self.walk_generated(pipelines, route, err_hop, scratch, flip),
+        };
         self.settle(packet.flow, packet.seq, route, end);
     }
 
-    /// The memo-aware path for a generated packet: settle from the
-    /// cached verdict on a hit (re-walking 1-in-N hits to cross-check),
-    /// walk-and-record on a miss, plain walk with no table.
-    fn process_generated(
+    /// The memo path for a generated packet: the cached verdict on a
+    /// hit (re-walking 1-in-N hits to cross-check it), a walk recorded
+    /// into the table on a miss.
+    fn walk_memoized(
         &self,
         pipelines: &[UnrollerPipeline],
-        err_hops: &[u32],
-        packet: &EnginePacket,
+        route: &CompiledRoute,
+        err_hop: u32,
+        idx: usize,
         scratch: &mut [u8],
-        memo: &mut Option<MemoTable>,
-    ) {
-        let Some(route) = self.routes.routes().get_checked(packet.route) else {
-            self.metrics.route_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let idx = packet.route.index();
-        let err_hop = err_hops[idx];
+        table: &mut MemoTable,
+    ) -> MemoVerdict {
         let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
-        if let Some(table) = memo.as_mut() {
-            if let Some(cached) = table.lookup_verdict(idx) {
-                self.metrics.memo_hits.fetch_add(1, Ordering::Relaxed);
-                if table.should_sample() {
-                    // Sampled cross-check: the full walk stays the
-                    // ground truth — compare verdict and final shim
-                    // bit-exactly, count any mismatch, and settle from
-                    // the walked result so divergence can never leak
-                    // into the run's accounting.
-                    self.metrics
-                        .memo_sampled_walks
-                        .fetch_add(1, Ordering::Relaxed);
-                    let end = self.walk_generated(pipelines, route, err_hop, scratch);
-                    if end != cached || !table.shim_matches(idx, &scratch[ETH_HEADER_LEN..shim_end])
-                    {
-                        self.metrics.memo_divergence.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.settle(packet.flow, packet.seq, route, end);
-                } else {
-                    self.settle(packet.flow, packet.seq, route, cached);
-                }
-                return;
-            }
+        let Some(cached) = table.lookup_verdict(idx) else {
             self.metrics.memo_misses.fetch_add(1, Ordering::Relaxed);
-            let end = self.walk_generated(pipelines, route, err_hop, scratch);
+            let end = self.walk_generated(pipelines, route, err_hop, scratch, None);
             table.record(idx, end, &scratch[ETH_HEADER_LEN..shim_end]);
-            self.settle(packet.flow, packet.seq, route, end);
-            return;
+            return end;
+        };
+        self.metrics.memo_hits.fetch_add(1, Ordering::Relaxed);
+        if !table.should_sample() {
+            return cached;
         }
-        let end = self.walk_generated(pipelines, route, err_hop, scratch);
-        self.settle(packet.flow, packet.seq, route, end);
+        // Sampled cross-check: the full walk stays the ground truth —
+        // compare verdict and final shim bit-exactly, count any
+        // mismatch, and settle from the walked result so divergence
+        // can never leak into the run's accounting.
+        self.metrics
+            .memo_sampled_walks
+            .fetch_add(1, Ordering::Relaxed);
+        let end = self.walk_generated(pipelines, route, err_hop, scratch, None);
+        if end != cached || !table.shim_matches(idx, &scratch[ETH_HEADER_LEN..shim_end]) {
+            self.metrics.memo_divergence.fetch_add(1, Ordering::Relaxed);
+        }
+        end
     }
 
     /// Resets the scratch shim to the generated-traffic initial state
@@ -556,18 +416,19 @@ impl ShardWorker {
         route: &CompiledRoute,
         err_hop: u32,
         scratch: &mut [u8],
+        flip: Option<(u32, u32)>,
     ) -> MemoVerdict {
         let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
         scratch[ETH_HEADER_LEN..shim_end].fill(0);
-        self.walk_frame(pipelines, route, err_hop, scratch, None)
+        self.walk_frame(pipelines, route, err_hop, scratch, flip)
     }
 
     /// Walks one wire frame along its interned route through the
     /// per-switch pipelines — shim bits rewritten in place at every hop
     /// via the zero-copy frame path — and returns the terminal outcome
     /// without touching any outcome counter ([`Self::settle`] does
-    /// that), so walked, memoized, and lane-stepped packets all settle
-    /// through identical accounting.
+    /// that), so walked and memoized packets settle through identical
+    /// accounting.
     fn walk_frame(
         &self,
         pipelines: &[UnrollerPipeline],
@@ -660,237 +521,6 @@ impl ShardWorker {
                 self.metrics.frame_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Drains the deferred generated packets at the end of a batch:
-    /// through the hop-stepped lane pool when the backlog is deep
-    /// enough to overlap, sequentially otherwise. Every packet is
-    /// popped from `pending` *before* it is processed, so a poisonous
-    /// packet is lost (and counted) rather than retried forever.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_pending(
-        &self,
-        pipelines: &[UnrollerPipeline],
-        err_hops: &[u32],
-        batch: &[EnginePacket],
-        scratch: &mut [u8],
-        memo: &mut Option<MemoTable>,
-        pending: &mut Vec<usize>,
-        lanes: Option<&mut StepLanes>,
-        drain_popped: &Cell<bool>,
-    ) {
-        if pending.is_empty() {
-            return;
-        }
-        if let Some(pool) = lanes {
-            if pending.len() >= STEP_MIN {
-                self.drain_lanes(
-                    pipelines,
-                    err_hops,
-                    batch,
-                    memo,
-                    pending,
-                    pool,
-                    drain_popped,
-                );
-                return;
-            }
-        }
-        while let Some(i) = pending.pop() {
-            drain_popped.set(true);
-            self.process_generated(pipelines, err_hops, &batch[i], scratch, memo);
-            drain_popped.set(false);
-        }
-    }
-
-    /// The hop-stepped drain: keep up to [`STEP_LANES`] unmemoized
-    /// walks in flight, advancing all of them one pipeline step per
-    /// iteration so their fixed-offset shim accesses overlap, refilling
-    /// retired lanes from the backlog. Packets whose route got warmed
-    /// by an earlier lane settle straight from the memo at refill.
-    ///
-    /// A non-injected panic mid-step abandons every in-flight lane
-    /// (all counted in `panic_lost` by the supervisor); injected panics
-    /// never reach the lane pool, so fault-plan accounting keeps its
-    /// one-packet-per-panic precision.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_lanes(
-        &self,
-        pipelines: &[UnrollerPipeline],
-        err_hops: &[u32],
-        batch: &[EnginePacket],
-        memo: &mut Option<MemoTable>,
-        pending: &mut Vec<usize>,
-        lanes: &mut StepLanes,
-        drain_popped: &Cell<bool>,
-    ) {
-        let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
-        let routes = self.routes.routes();
-        loop {
-            // Refill free lanes from the backlog.
-            while lanes.states.len() < STEP_LANES {
-                let Some(i) = pending.pop() else { break };
-                drain_popped.set(true);
-                let packet = &batch[i];
-                let Some(route) = routes.get_checked(packet.route) else {
-                    self.metrics.route_errors.fetch_add(1, Ordering::Relaxed);
-                    drain_popped.set(false);
-                    continue;
-                };
-                let idx = packet.route.index();
-                if let Some(table) = memo.as_mut() {
-                    if let Some(cached) = table.lookup_verdict(idx) {
-                        // An earlier lane on the same route already
-                        // warmed the slot mid-drain.
-                        self.metrics.memo_hits.fetch_add(1, Ordering::Relaxed);
-                        if table.should_sample() {
-                            self.metrics
-                                .memo_sampled_walks
-                                .fetch_add(1, Ordering::Relaxed);
-                            let slot = lanes.states.len();
-                            let frame = &mut lanes.frames[slot];
-                            frame[ETH_HEADER_LEN..shim_end].fill(0);
-                            let end = self.walk_frame(pipelines, route, err_hops[idx], frame, None);
-                            if end != cached
-                                || !table.shim_matches(idx, &frame[ETH_HEADER_LEN..shim_end])
-                            {
-                                self.metrics.memo_divergence.fetch_add(1, Ordering::Relaxed);
-                            }
-                            self.settle(packet.flow, packet.seq, route, end);
-                        } else {
-                            self.settle(packet.flow, packet.seq, route, cached);
-                        }
-                        drain_popped.set(false);
-                        continue;
-                    }
-                    self.metrics.memo_misses.fetch_add(1, Ordering::Relaxed);
-                }
-                let slot = lanes.states.len();
-                lanes.frames[slot][ETH_HEADER_LEN..shim_end].fill(0);
-                lanes.states.push(LaneState {
-                    batch_idx: i,
-                    hop: 0,
-                    cycle_idx: 0,
-                    err_hop: err_hops[idx],
-                });
-                drain_popped.set(false);
-            }
-            if lanes.states.is_empty() {
-                return;
-            }
-            // Phase A (descending, so a swap_remove pulls in a lane
-            // that was already handled): pick each lane's next node,
-            // retiring walks that end without a pipeline step.
-            let mut l = lanes.states.len();
-            while l > 0 {
-                l -= 1;
-                let st = &mut lanes.states[l];
-                let route = routes
-                    .get_checked(batch[st.batch_idx].route)
-                    .expect("validated at lane entry; generation is fixed within a batch");
-                let node = if (st.hop as usize) < route.pre.len() {
-                    route.pre[st.hop as usize]
-                } else if route.cycle.is_empty() {
-                    let hops = st.hop;
-                    self.retire_lane(batch, memo, lanes, l, MemoVerdict::Delivered { hops });
-                    continue;
-                } else {
-                    let n = route.cycle[st.cycle_idx];
-                    st.cycle_idx += 1;
-                    if st.cycle_idx == route.cycle.len() {
-                        st.cycle_idx = 0;
-                    }
-                    n
-                };
-                if st.hop == st.err_hop {
-                    let hops = st.hop;
-                    self.retire_lane(batch, memo, lanes, l, MemoVerdict::RouteError { hops });
-                    continue;
-                }
-                lanes.nodes[l] = node;
-            }
-            let active = lanes.states.len();
-            if active == 0 {
-                continue;
-            }
-            // Phase B: one pipeline step for every lane, in lockstep.
-            lanes.verdicts.clear();
-            process_frame_batch_stepped(
-                pipelines,
-                &mut lanes.frames[..active],
-                &lanes.nodes[..active],
-                &mut lanes.verdicts,
-            );
-            // Phase C (descending, same swap_remove argument): apply
-            // the step outcomes.
-            let mut l = active;
-            while l > 0 {
-                l -= 1;
-                lanes.states[l].hop += 1;
-                let hop = lanes.states[l].hop;
-                match lanes.verdicts[l] {
-                    Ok(verdict) if verdict.reported() => {
-                        let trigger = lanes.nodes[l] as u32;
-                        self.retire_lane(batch, memo, lanes, l, MemoVerdict::Loop { trigger, hop });
-                    }
-                    Ok(_) => {
-                        if hop >= self.max_hops {
-                            self.retire_lane(
-                                batch,
-                                memo,
-                                lanes,
-                                l,
-                                MemoVerdict::TtlDropped { hops: hop },
-                            );
-                        }
-                    }
-                    Err(_) => {
-                        self.retire_lane(
-                            batch,
-                            memo,
-                            lanes,
-                            l,
-                            MemoVerdict::FrameError { hops: hop - 1 },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Retires lane `l` with outcome `end`: record it in the memo
-    /// (final shim bytes exactly as a sequential scratch walk would
-    /// leave them — a reporting hop does not rewrite the frame), settle
-    /// the packet, and compact the pool with a swap-remove that keeps
-    /// `frames`/`nodes` parallel to `states`.
-    fn retire_lane(
-        &self,
-        batch: &[EnginePacket],
-        memo: &mut Option<MemoTable>,
-        lanes: &mut StepLanes,
-        l: usize,
-        end: MemoVerdict,
-    ) {
-        let st = lanes.states[l];
-        let last = lanes.states.len() - 1;
-        lanes.states.swap_remove(l);
-        lanes.frames.swap(l, last);
-        lanes.nodes[l] = lanes.nodes[last];
-        let packet = &batch[st.batch_idx];
-        let route = self
-            .routes
-            .routes()
-            .get_checked(packet.route)
-            .expect("validated at lane entry; generation is fixed within a batch");
-        if let Some(table) = memo.as_mut() {
-            let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
-            table.record(
-                packet.route.index(),
-                end,
-                &lanes.frames[last][ETH_HEADER_LEN..shim_end],
-            );
-        }
-        self.settle(packet.flow, packet.seq, route, end);
     }
 
     /// §3.5 membership collection: from the trigger switch, keep
@@ -1033,7 +663,6 @@ mod tests {
             kick: Arc::new(AtomicBool::new(false)),
             pin_core: None,
             memo: None,
-            stepped: false,
         };
         (worker, producer, ev_rx)
     }
@@ -1581,9 +1210,9 @@ mod tests {
     }
 
     /// Runs a fixed mixed workload — delivered, looping, route-error
-    /// and TTL-capped routes interleaved — under the given memo/stepped
-    /// mode and returns the shard snapshot.
-    fn run_mixed(memo: Option<MemoConfig>, stepped: bool) -> crate::metrics::ShardSnapshot {
+    /// and TTL-capped routes interleaved — under the given memo mode
+    /// and returns the shard snapshot.
+    fn run_mixed(memo: Option<MemoConfig>) -> crate::metrics::ShardSnapshot {
         let (mut worker, producer, _ev_rx) = worker_fixture(12, 8);
         let mut b = RouteSetBuilder::new();
         let routes = [
@@ -1596,7 +1225,6 @@ mod tests {
         ];
         worker.routes = Arc::new(EpochRouteTable::new(b.build())).reader();
         worker.memo = memo;
-        worker.stepped = stepped;
         let metrics = worker.metrics.clone();
         for seq in 0..60 {
             producer.push(packet(seq, routes[seq as usize % routes.len()]));
@@ -1607,26 +1235,18 @@ mod tests {
     }
 
     #[test]
-    fn memoized_and_stepped_modes_match_sequential_accounting() {
-        let walked = run_mixed(None, false);
+    fn memoized_modes_match_walked_accounting() {
+        let walked = run_mixed(None);
         assert_eq!(walked.packets, 60);
         assert_eq!(walked.delivered, 15);
         assert_eq!(walked.loop_events, 15);
         assert_eq!(walked.route_errors, 15);
         assert_eq!(walked.ttl_dropped, 15, "the long route outruns the TTL");
         for (name, snap) in [
-            ("stepped", run_mixed(None, true)),
-            (
-                "memo",
-                run_mixed(Some(MemoConfig { sample_every: 1 }), false),
-            ),
-            (
-                "memo+stepped",
-                run_mixed(Some(MemoConfig { sample_every: 1 }), true),
-            ),
+            ("memo", run_mixed(Some(MemoConfig { sample_every: 1 }))),
             (
                 "memo-unsampled",
-                run_mixed(Some(MemoConfig { sample_every: 0 }), false),
+                run_mixed(Some(MemoConfig { sample_every: 0 })),
             ),
         ] {
             assert_eq!(snap.packets, walked.packets, "{name}: packets");
@@ -1641,7 +1261,7 @@ mod tests {
             assert_eq!(snap.frame_errors, 0, "{name}: frame_errors");
             assert_eq!(snap.memo_divergence, 0, "{name}: divergence");
         }
-        let memoized = run_mixed(Some(MemoConfig { sample_every: 1 }), false);
+        let memoized = run_mixed(Some(MemoConfig { sample_every: 1 }));
         assert_eq!(memoized.memo_misses, 4, "one warm-up walk per route");
         assert_eq!(memoized.memo_hits, 56);
         assert_eq!(

@@ -1,9 +1,10 @@
-//! Memoization equivalence tests: the per-route verdict cache and the
-//! hop-stepped lane pool are pure performance features — every counter
-//! a walked run produces (delivered, TTL drops, loop events, hop
-//! totals, route errors) must be reproduced exactly with them enabled,
-//! across detector parameter space, random route shapes, carried
-//! frames with arbitrary in-flight shim state, and live route churn.
+//! Memoization equivalence tests: the per-route verdict cache is a pure
+//! performance feature — every counter a walked run produces
+//! (delivered, TTL drops, loop events, hop totals, route errors) must
+//! be reproduced exactly with it enabled, across detector parameter
+//! space, random route shapes, carried frames with arbitrary in-flight
+//! shim state, injected worker panics and bit-flips, and live route
+//! churn.
 //!
 //! The bit-exactness claim itself is enforced by running the memo in
 //! paranoid mode (`sample_every: 1`): every cache hit re-walks the
@@ -20,20 +21,20 @@ use unroller_dataplane::parser::build_frame;
 use unroller_dataplane::{
     EthernetHeader, HeaderLayout, UnrollerPipeline, WireHeader, ETH_HEADER_LEN,
 };
-use unroller_engine::faults::EventFaults;
+use unroller_engine::faults::{EventFaults, PacketFault};
 use unroller_engine::metrics::{ShardMetrics, ShardSnapshot};
 use unroller_engine::ring::{ring, FullPolicy};
 use unroller_engine::worker::ShardWorker;
 use unroller_engine::{
     ChurnPlan, ChurnSource, Engine, EngineConfig, EnginePacket, EngineReport, EpochRouteTable,
-    FlowKey, LoopInjection, MemoConfig, PathSpec, ReplaySource, RouteId, RouteSet,
+    FaultPlan, FlowKey, LoopInjection, MemoConfig, PathSpec, ReplaySource, RouteId, RouteSet,
 };
 use unroller_sim::{NullDetector, SimConfig, Simulator};
 use unroller_topology::generators::ring as ring_topology;
 use unroller_topology::ids::assign_sequential_ids;
 
 /// Outcome counters that must be identical between a walked run and
-/// any memoized/stepped run of the same traffic.
+/// any memoized run of the same traffic.
 fn outcome_totals(report: &EngineReport) -> (u64, u64, u64, u64, u64, u64) {
     let sum = |f: fn(&ShardSnapshot) -> u64| report.shard_snapshots.iter().map(f).sum();
     (
@@ -48,12 +49,7 @@ fn outcome_totals(report: &EngineReport) -> (u64, u64, u64, u64, u64, u64) {
 
 /// One engine run over simulator-routed ring traffic with a loop
 /// injected mid-stream, under the given detector params and memo mode.
-fn engine_run(
-    params: UnrollerParams,
-    seed: u64,
-    memo: Option<MemoConfig>,
-    stepped: bool,
-) -> EngineReport {
+fn engine_run(params: UnrollerParams, seed: u64, memo: Option<MemoConfig>) -> EngineReport {
     const NODES: usize = 16;
     let mut sim = Simulator::new(
         ring_topology(NODES),
@@ -73,7 +69,6 @@ fn engine_run(
             full_policy: FullPolicy::Block,
             params,
             memo,
-            stepped,
             ..EngineConfig::default()
         },
         sim.ids(),
@@ -83,20 +78,19 @@ fn engine_run(
 }
 
 #[test]
-fn memoized_and_stepped_engine_runs_match_walked_runs() {
+fn memoized_engine_runs_match_walked_runs() {
     for params in [
         UnrollerParams::default(),
         UnrollerParams::default().with_z(7).with_th(4),
         UnrollerParams::default().with_c(2).with_h(2).with_z(12),
     ] {
         for seed in [5, 11] {
-            let walked = engine_run(params, seed, None, false);
+            let walked = engine_run(params, seed, None);
             assert!(walked.loop_detected());
             assert!(walked.accounted());
             assert!(!walked.memo_enabled);
             // Which packet first detects each flow's loop is part of
-            // the contract for sequential modes (stepped drains reorder
-            // within a batch, so they are held to flow-set equality).
+            // the contract, not just which flows are detected.
             let mut walked_events: Vec<(u64, u64)> = walked
                 .aggregator
                 .events
@@ -106,25 +100,12 @@ fn memoized_and_stepped_engine_runs_match_walked_runs() {
             // Sorted: the aggregator interleaves the two shards'
             // event streams nondeterministically.
             walked_events.sort_unstable();
-            let walked_flows: std::collections::BTreeSet<u64> =
-                walked_events.iter().map(|&(f, _)| f).collect();
-            for (name, memo, stepped) in [
-                ("stepped", None, true),
-                ("memo-paranoid", Some(MemoConfig { sample_every: 1 }), false),
-                (
-                    "memo-unsampled",
-                    Some(MemoConfig { sample_every: 0 }),
-                    false,
-                ),
-                (
-                    "memo+stepped",
-                    Some(MemoConfig {
-                        sample_every: unroller_engine::DEFAULT_SAMPLE_EVERY,
-                    }),
-                    true,
-                ),
+            for (name, memo) in [
+                ("memo-paranoid", MemoConfig { sample_every: 1 }),
+                ("memo-unsampled", MemoConfig { sample_every: 0 }),
+                ("memo-default", MemoConfig::default()),
             ] {
-                let run = engine_run(params, seed, memo, stepped);
+                let run = engine_run(params, seed, Some(memo));
                 assert!(run.accounted(), "{name}: accounted");
                 assert_eq!(
                     outcome_totals(&run),
@@ -132,32 +113,19 @@ fn memoized_and_stepped_engine_runs_match_walked_runs() {
                     "{name}: outcome counters diverged from the walked run"
                 );
                 assert_eq!(run.memo_divergence(), 0, "{name}: divergence");
-                if memo.is_some() {
-                    assert!(run.memo_enabled);
-                    assert!(run.memo_hits() > 0, "{name}: the cache was exercised");
-                } else {
-                    assert_eq!(run.memo_hits() + run.memo_misses(), 0, "{name}");
-                }
-                let flows: std::collections::BTreeSet<u64> = run
+                assert!(run.memo_enabled);
+                assert!(run.memo_hits() > 0, "{name}: the cache was exercised");
+                let mut events: Vec<(u64, u64)> = run
                     .aggregator
                     .events
                     .iter()
-                    .map(|e| e.flow.rss_hash())
+                    .map(|e| (e.flow.rss_hash(), e.seq))
                     .collect();
-                assert_eq!(flows, walked_flows, "{name}: detected flow set");
-                if !stepped {
-                    let mut events: Vec<(u64, u64)> = run
-                        .aggregator
-                        .events
-                        .iter()
-                        .map(|e| (e.flow.rss_hash(), e.seq))
-                        .collect();
-                    events.sort_unstable();
-                    assert_eq!(
-                        events, walked_events,
-                        "{name}: first-detection packets diverged"
-                    );
-                }
+                events.sort_unstable();
+                assert_eq!(
+                    events, walked_events,
+                    "{name}: first-detection packets diverged"
+                );
             }
         }
     }
@@ -177,7 +145,6 @@ fn churn_storm_with_memo_keeps_full_recall_and_never_diverges() {
             ring_capacity: 512,
             full_policy: FullPolicy::Block,
             memo: Some(MemoConfig { sample_every: 2 }),
-            stepped: true,
             ..EngineConfig::default()
         },
         &(0..16).map(|i| 100 + i).collect::<Vec<u32>>(),
@@ -214,7 +181,8 @@ fn churn_storm_with_memo_keeps_full_recall_and_never_diverges() {
 
 /// A standalone worker over an arbitrary route set, for twin-run
 /// comparisons the engine's traffic sources cannot express (routes
-/// with invalid hops, carried frames with arbitrary shim state).
+/// with invalid hops, carried frames with arbitrary shim state), under
+/// an optional seeded packet-fault plan.
 fn run_worker(
     params: UnrollerParams,
     nodes: usize,
@@ -222,7 +190,7 @@ fn run_worker(
     routes: &Arc<RouteSet>,
     packets: &[EnginePacket],
     memo: Option<MemoConfig>,
-    stepped: bool,
+    faults: Option<&FaultPlan>,
 ) -> ShardSnapshot {
     let ids: Arc<[u32]> = (0..nodes as u32).map(|i| 100 + i).collect();
     let pipelines = Arc::new(
@@ -243,12 +211,11 @@ fn run_worker(
         metrics: Arc::new(ShardMetrics::default()),
         events: ev_tx,
         consumer,
-        faults: None,
+        faults: faults.map(|plan| plan.for_shard(0)),
         event_faults: EventFaults::inactive(),
         kick: Arc::new(AtomicBool::new(false)),
         pin_core: None,
         memo,
-        stepped,
     };
     for p in packets {
         producer.push(EnginePacket {
@@ -269,7 +236,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random routes (valid, looping, out-of-range hops) × detector
-    /// params × initial shim states: paranoid-mode memoization
+    /// params × initial shim states × (in half the cases) seeded worker
+    /// panics and shim bit-flips: paranoid-mode memoization
     /// (`sample_every: 1`) re-walks every cache hit and bit-compares
     /// verdict and final shim bytes, so `memo_divergence == 0` here IS
     /// the proof that the cached fast path is exact — on top of the
@@ -278,7 +246,7 @@ proptest! {
     fn random_routes_params_and_shims_stay_bit_exact(
         seed in 0u64..1_000_000,
         params_idx in 0usize..4,
-        stepped in 0usize..2,
+        faulty in 0usize..2,
     ) {
         let params = [
             UnrollerParams::default(),
@@ -286,7 +254,12 @@ proptest! {
             UnrollerParams::default().with_c(2).with_h(2).with_z(12),
             UnrollerParams::default().with_b(3).with_th(2),
         ][params_idx];
-        let stepped = stepped == 1;
+        let plan = (faulty == 1).then(|| FaultPlan {
+            seed,
+            panic_rate: 0.05,
+            bitflip_rate: 0.1,
+            ..FaultPlan::default()
+        });
         let layout = HeaderLayout::from_params(&params);
         let mut rng = unroller_core::test_rng(seed);
         let nodes = rng.gen_range(4..12usize);
@@ -338,7 +311,7 @@ proptest! {
             })
             .collect();
 
-        let walked = run_worker(params, nodes, max_hops, &routes, &packets, None, false);
+        let walked = run_worker(params, nodes, max_hops, &routes, &packets, None, plan.as_ref());
         let memoized = run_worker(
             params,
             nodes,
@@ -346,7 +319,7 @@ proptest! {
             &routes,
             &packets,
             Some(MemoConfig { sample_every: 1 }),
-            stepped,
+            plan.as_ref(),
         );
         prop_assert_eq!(memoized.packets, walked.packets);
         prop_assert_eq!(memoized.delivered, walked.delivered);
@@ -355,15 +328,47 @@ proptest! {
         prop_assert_eq!(memoized.route_errors, walked.route_errors);
         prop_assert_eq!(memoized.frame_errors, walked.frame_errors);
         prop_assert_eq!(memoized.hops, walked.hops);
+        prop_assert_eq!(memoized.panic_lost, walked.panic_lost);
+        prop_assert_eq!(memoized.restarts, walked.restarts);
+        prop_assert_eq!(memoized.bitflips_injected, walked.bitflips_injected);
         prop_assert_eq!(memoized.memo_divergence, 0);
         prop_assert_eq!(
             memoized.memo_sampled_walks,
             memoized.memo_hits,
             "paranoid mode cross-checks every hit"
         );
-        // Carried frames never touch the cache: lookups account for
-        // exactly the generated packets.
-        let generated = packets.iter().filter(|p| p.frame.is_none()).count() as u64;
-        prop_assert_eq!(memoized.memo_hits + memoized.memo_misses, generated);
+
+        // The worker draws packet i's fault as the i-th draw of the
+        // shard's packet stream, so the expected cache traffic can be
+        // replayed here: carried frames, faulted packets and panicked
+        // packets never touch the cache, and every panic restarts the
+        // worker with an empty one.
+        let mut draws = plan.as_ref().map(|p| p.for_shard(0));
+        let mut warm = vec![false; route_count];
+        let (mut panics, mut hits, mut misses) = (0u64, 0u64, 0u64);
+        for p in &packets {
+            match draws.as_mut().map_or(PacketFault::None, |d| d.packet_fault()) {
+                PacketFault::Panic => {
+                    panics += 1;
+                    warm.fill(false);
+                }
+                PacketFault::BitFlip { .. } => {}
+                PacketFault::None if p.frame.is_none() => {
+                    let slot = &mut warm[p.route.index()];
+                    if *slot {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                        *slot = true;
+                    }
+                }
+                PacketFault::None => {}
+            }
+        }
+        prop_assert_eq!(memoized.panic_lost, panics, "one lost packet per panic");
+        prop_assert_eq!(memoized.restarts, panics);
+        prop_assert_eq!(memoized.packets + panics, packets.len() as u64);
+        prop_assert_eq!(memoized.memo_hits, hits);
+        prop_assert_eq!(memoized.memo_misses, misses, "the memo resets on restart");
     }
 }
