@@ -124,9 +124,10 @@ pub fn read_bits_at(buf: &[u8], pos: usize, width: u32) -> u64 {
     }
     // Fast path: when the field fits inside one 8-byte window of the
     // buffer, a single big-endian load + shift + mask replaces the
-    // per-byte loop. Shim fields are ≤ 32 bits wide and frames are far
-    // longer than 8 bytes, so the hot in-place pipeline takes this path
-    // for every field access.
+    // per-byte loop. The window starts at the field's first byte, so it
+    // fires only when 8 bytes remain from there: callers hand in the
+    // shim *plus the frame bytes after it* (`pipeline::ShimView`), and a
+    // field within the last 7 bytes of the buffer takes the loop.
     let byte = pos / 8;
     let offset = (pos % 8) as u32;
     if offset + width <= 64 && byte + 8 <= buf.len() {

@@ -176,6 +176,50 @@ impl WireHeader {
         }
         Ok(WireHeader { xcnt, thcnt, swids })
     }
+
+    /// Decodes the shim at the front of `shim` into `self`, reusing its
+    /// slot storage: [`Self::decode`] without the allocation. `shim`
+    /// may run past the header (a frame tail), which lets the offset
+    /// accessors load whole 8-byte windows. `xcnt` reads as 0 when the
+    /// layout infers it from the TTL.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot count mismatches or `shim` is shorter than
+    /// the layout.
+    pub(crate) fn decode_into(&mut self, layout: &HeaderLayout, shim: &[u8]) {
+        assert_eq!(
+            self.swids.len(),
+            layout.slots as usize,
+            "slot count mismatch"
+        );
+        self.xcnt = layout.read_xcnt(shim);
+        self.thcnt = layout.read_thcnt(shim);
+        for (slot, id) in self.swids.iter_mut().enumerate() {
+            *id = layout.read_swid(shim, slot as u32);
+        }
+    }
+
+    /// Writes `self` over the front of `shim` in place, padding bits
+    /// zeroed: the header's bytes come out identical to
+    /// [`Self::encode`], and bytes past them are untouched.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::encode`], or if `shim` is shorter than the layout.
+    pub(crate) fn encode_into(&self, layout: &HeaderLayout, shim: &mut [u8]) {
+        assert_eq!(
+            self.swids.len(),
+            layout.slots as usize,
+            "slot count mismatch"
+        );
+        layout.write_xcnt(shim, self.xcnt);
+        layout.write_thcnt(shim, self.thcnt);
+        for (slot, &id) in self.swids.iter().enumerate() {
+            layout.write_swid(shim, slot as u32, id);
+        }
+        layout.clear_padding(shim);
+    }
 }
 
 #[cfg(test)]
@@ -280,12 +324,18 @@ mod tests {
                     .map(|_| rng.gen::<u32>() & p.z_mask())
                     .collect(),
             };
-            let shim = hdr.encode(&layout);
+            let mut shim = hdr.encode(&layout);
             assert_eq!(layout.read_xcnt(&shim), hdr.xcnt);
             assert_eq!(layout.read_thcnt(&shim), hdr.thcnt);
             for (slot, &id) in hdr.swids.iter().enumerate() {
                 assert_eq!(layout.read_swid(&shim, slot as u32), id);
             }
+            // Bytes after the header (a frame tail) change nothing.
+            shim.extend((0..rng.gen_range(0..12)).map(|_| rng.gen::<u8>()));
+            let mut decoded = WireHeader::initial(&layout);
+            decoded.xcnt = 1;
+            decoded.decode_into(&layout, &shim);
+            assert_eq!(decoded, hdr);
         }
     }
 
@@ -320,6 +370,14 @@ mod tests {
             }
             layout.clear_padding(&mut shim);
             assert_eq!(shim, hdr.encode(&layout));
+            // encode_into does the same over a frame tail, which it
+            // leaves alone.
+            let tail: Vec<u8> = (0..rng.gen_range(0..12)).map(|_| rng.gen()).collect();
+            let mut framed: Vec<u8> = (0..layout.total_bytes()).map(|_| rng.gen()).collect();
+            framed.extend_from_slice(&tail);
+            hdr.encode_into(&layout, &mut framed);
+            assert_eq!(framed[..layout.total_bytes()], shim[..]);
+            assert_eq!(framed[layout.total_bytes()..], tail[..]);
         }
     }
 

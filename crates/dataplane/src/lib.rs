@@ -12,7 +12,8 @@
 //! * [`parser`] — Ethernet framing: parse / deparse of the shim.
 //! * [`pipeline`] — the ingress control block
 //!   ([`pipeline::UnrollerPipeline`]), bit-exact against the software
-//!   detector.
+//!   detector, and the validated frame view it runs on
+//!   ([`pipeline::ShimView`]).
 //! * [`resources`] — the Table 4 substitute resource accounting.
 //!
 //! ```

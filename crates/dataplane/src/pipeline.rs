@@ -32,6 +32,81 @@ use unroller_core::params::{ParamError, UnrollerParams};
 use unroller_core::phase::PhaseSchedule;
 use unroller_core::{SwitchId, Verdict};
 
+/// A frame proven to carry an Unroller shim: long enough for the
+/// Ethernet header plus the shim, and tagged [`ETHERTYPE_UNROLLER`].
+/// Building one is the data path's single frame-validation point;
+/// everything it offers then cannot fail.
+///
+/// The view spans the shim *and every byte after it*, so a field that
+/// starts at least 8 bytes before the frame's end is read and written
+/// with one 8-byte window (see [`crate::bitio::read_bits_at`]). Bytes
+/// past the shim are never changed.
+///
+/// A walk along many switches validates once, decodes once with
+/// [`Self::decode_into`], runs [`UnrollerPipeline::process_header`] at
+/// every hop, and writes the shim back once with [`Self::encode_from`].
+/// Under a TTL-inferred layout the decoded `xcnt` starts at 0 and counts
+/// the hops of that walk, which is what [`UnrollerPipeline::process_header_ttl`]
+/// would be handed.
+#[derive(Debug)]
+pub struct ShimView<'a> {
+    layout: HeaderLayout,
+    /// `frame[ETH_HEADER_LEN..]`: the shim, then the payload.
+    bytes: &'a mut [u8],
+}
+
+impl<'a> ShimView<'a> {
+    /// Validates `frame` for `layout`: a typed error for a frame too
+    /// short to hold the headers or not tagged as carrying the shim.
+    /// Nothing is written either way.
+    pub fn new(layout: &HeaderLayout, frame: &'a mut [u8]) -> Result<Self, FrameError> {
+        let need = ETH_HEADER_LEN + layout.total_bytes();
+        if frame.len() < need {
+            return Err(FrameError::TooShort {
+                len: frame.len(),
+                need,
+            });
+        }
+        let ethertype = u16::from_be_bytes([frame[12], frame[13]]);
+        if ethertype != ETHERTYPE_UNROLLER {
+            return Err(FrameError::WrongEthertype(ethertype));
+        }
+        Ok(ShimView {
+            layout: *layout,
+            bytes: &mut frame[ETH_HEADER_LEN..],
+        })
+    }
+
+    /// Decodes the shim into `hdr`, reusing its slot storage: no
+    /// allocation. `xcnt` reads as 0 under a TTL-inferred layout.
+    #[inline]
+    pub fn decode_into(&self, hdr: &mut WireHeader) {
+        hdr.decode_into(&self.layout, self.bytes);
+    }
+
+    /// Writes `hdr` back over the shim with zero padding: the shim
+    /// bytes come out identical to [`WireHeader::encode`].
+    #[inline]
+    pub fn encode_from(&mut self, hdr: &WireHeader) {
+        hdr.encode_into(&self.layout, self.bytes);
+    }
+
+    /// Flips one *wire* bit of the shim: on-the-wire corruption between
+    /// two switches. The index wraps modulo the shim's bit count
+    /// (MSB-first, matching the deparsed layout), so any `u32` is a
+    /// valid draw and every flip lands on a bit a real transmission
+    /// error could touch — never on padding, the Ethernet header or the
+    /// payload.
+    pub fn flip_bit(&mut self, bit: u32) {
+        let total = self.layout.total_bits();
+        if total == 0 {
+            return;
+        }
+        let bit = (bit % total) as usize;
+        self.bytes[bit / 8] ^= 0x80 >> (bit % 8);
+    }
+}
+
 /// Lookup tables indexed by the 8-bit hop counter. Entry 0 of
 /// `chunk`/`fresh` is unused (hops are 1-based); `occupied[x]` is the
 /// per-chunk occupancy bitmask *after* `x` hops.
@@ -172,7 +247,8 @@ impl UnrollerPipeline {
 
     /// Processes a parsed shim header in place — the control block's
     /// `apply` section. Returns the verdict; on [`Verdict::LoopReported`]
-    /// a real switch would drop the packet and notify the controller.
+    /// the header is left unmodified, and a real switch would drop the
+    /// packet and notify the controller.
     pub fn process_header(&self, hdr: &mut WireHeader) -> Verdict {
         self.table.apply(|| self.apply_action(hdr))
     }
@@ -182,15 +258,14 @@ impl UnrollerPipeline {
         let (h, c) = (p.h as usize, p.c as usize);
         debug_assert_eq!(hdr.swids.len(), h * c, "shim sized for wrong params");
 
-        // Stage 1: read registers, increment Xcnt (saturating — past 255
-        // hops the packet's TTL has long expired; saturating avoids a
-        // bogus phase restart on wrap-around).
+        // Stage 1: read registers and the hop counter (saturating
+        // increment — past 255 hops the packet's TTL has long expired;
+        // saturating avoids a bogus phase restart on wrap-around). No
+        // field is written yet: on LoopReported the header comes out as
+        // it went in, exactly like the in-place kernel's frame.
         let prev = hdr.xcnt;
         let saturated = prev == u8::MAX;
-        if !saturated {
-            hdr.xcnt = prev + 1;
-        }
-        let x = hdr.xcnt as usize;
+        let x = if saturated { prev } else { prev + 1 };
 
         // Stage 2: compare the pre-hashed identifiers against every
         // *valid* stored slot. Validity is derived from the hop counter
@@ -206,16 +281,18 @@ impl UnrollerPipeline {
             }
         }
         if matched {
-            hdr.thcnt += 1;
-            if hdr.thcnt >= p.th {
+            let thcnt = hdr.thcnt + 1;
+            if thcnt >= p.th {
                 return Verdict::LoopReported;
             }
+            hdr.thcnt = thcnt;
         }
+        hdr.xcnt = x;
 
         // Stage 2 (continued): update the current chunk's slots — reset
         // at a chunk boundary, min-merge otherwise.
-        let j = self.luts.chunk[x] as usize;
-        let fresh = !saturated && self.luts.fresh[x];
+        let j = self.luts.chunk[x as usize] as usize;
+        let fresh = !saturated && self.luts.fresh[x as usize];
         let was_occupied = occ & (1 << j) != 0;
         for (i, &hv) in self.registers.prehashed.iter().enumerate() {
             let slot = i * c + j;
@@ -262,20 +339,15 @@ impl UnrollerPipeline {
     /// frame is byte-identical to what decode → [`Self::process_header`]
     /// → re-encode would produce, and on [`Verdict::LoopReported`] the
     /// frame is left untouched.
+    ///
+    /// The frame is validated through a [`ShimView`], whose field
+    /// accesses span the bytes after the shim too. Under a TTL-inferred
+    /// layout the frame carries no hop count, so every call runs as the
+    /// packet's first hop; a multi-hop walk keeps the count in a decoded
+    /// [`WireHeader`] instead (see [`ShimView`]).
     pub fn process_frame_in_place(&self, frame: &mut [u8]) -> Result<Verdict, FrameError> {
-        let need = ETH_HEADER_LEN + self.layout.total_bytes();
-        if frame.len() < need {
-            return Err(FrameError::TooShort {
-                len: frame.len(),
-                need,
-            });
-        }
-        let ethertype = u16::from_be_bytes([frame[12], frame[13]]);
-        if ethertype != ETHERTYPE_UNROLLER {
-            return Err(FrameError::WrongEthertype(ethertype));
-        }
-        let shim = &mut frame[ETH_HEADER_LEN..need];
-        Ok(self.table.apply(|| self.apply_action_in_place(shim)))
+        let view = ShimView::new(&self.layout, frame)?;
+        Ok(self.table.apply(|| self.apply_action_in_place(view.bytes)))
     }
 
     fn apply_action_in_place(&self, shim: &mut [u8]) -> Verdict {
@@ -565,6 +637,36 @@ mod tests {
             Err(FrameError::WrongEthertype(0x0800))
         );
         assert_eq!(frame, before, "rejected frame must not be modified");
+    }
+
+    #[test]
+    fn flip_bit_lands_in_the_shim_and_is_reversible() {
+        let params = UnrollerParams::default();
+        let layout = HeaderLayout::from_params(&params);
+        let eth = EthernetHeader::for_hosts(1, 2);
+        let frame = build_frame(&layout, &eth, &WireHeader::initial(&layout), b"payload");
+        let shim_end = ETH_HEADER_LEN + layout.total_bytes();
+        for bit in [0u32, 7, 8, 39, layout.total_bits() - 1, u32::MAX] {
+            let mut flipped = frame.clone();
+            ShimView::new(&layout, &mut flipped).unwrap().flip_bit(bit);
+            assert_ne!(flipped, frame, "bit {bit} must land");
+            assert_eq!(
+                flipped[..ETH_HEADER_LEN],
+                frame[..ETH_HEADER_LEN],
+                "Ethernet header untouched (bit {bit})"
+            );
+            assert_eq!(
+                flipped[shim_end..],
+                frame[shim_end..],
+                "payload untouched (bit {bit})"
+            );
+            // XOR is involutive: the same flip restores the frame.
+            ShimView::new(&layout, &mut flipped).unwrap().flip_bit(bit);
+            assert_eq!(flipped, frame);
+        }
+        // A frame too short to hold the shim yields no view to flip.
+        let mut runt = vec![0u8; 8];
+        assert!(ShimView::new(&layout, &mut runt).is_err());
     }
 
     #[test]

@@ -20,7 +20,6 @@
 use std::fmt;
 use std::sync::Once;
 use std::time::Duration;
-use unroller_dataplane::{HeaderLayout, WireHeader, ETH_HEADER_LEN};
 
 /// How the engine should misbehave during a run. All rates are
 /// per-draw probabilities in `[0, 1]`; 0 disables that fault class.
@@ -280,7 +279,8 @@ pub enum PacketFault {
     BitFlip {
         /// Hop index at which the corruption lands.
         at_hop: u32,
-        /// Flat bit index into the header (see [`apply_bitflip`]).
+        /// Wire bit index into the shim, wrapping modulo its bit count
+        /// (see [`ShimView::flip_bit`](unroller_dataplane::pipeline::ShimView::flip_bit)).
         bit: u32,
     },
 }
@@ -378,40 +378,6 @@ impl EventFaults {
     }
 }
 
-/// Flips one bit of a wire header in place. The flat index covers, in
-/// order: the 8 `xcnt` bits, the 32 `thcnt` bits, then 32 bits per
-/// `swids` slot — i.e. every field a real on-the-wire corruption could
-/// touch, Unroller ID storage included. The index wraps modulo the
-/// header's bit size so any `u32` is a valid draw.
-pub fn apply_bitflip(hdr: &mut WireHeader, bit: u32) {
-    let total = 8 + 32 + 32 * hdr.swids.len() as u32;
-    let bit = bit % total;
-    if bit < 8 {
-        hdr.xcnt ^= 1 << bit;
-    } else if bit < 40 {
-        hdr.thcnt ^= 1 << (bit - 8);
-    } else {
-        let slot = ((bit - 40) / 32) as usize;
-        hdr.swids[slot] ^= 1 << ((bit - 40) % 32);
-    }
-}
-
-/// Flips one *wire* bit of a frame's Unroller shim in place — the
-/// frame-buffer analogue of [`apply_bitflip`] for the zero-copy worker
-/// path. The index wraps modulo the shim's on-the-wire bit count
-/// (MSB-first within the shim, matching the deparsed layout), so every
-/// flip lands on a bit a real transmission error could actually touch —
-/// unlike the struct variant, whose logical fields are wider than the
-/// wire encoding.
-pub fn apply_bitflip_frame(frame: &mut [u8], layout: &HeaderLayout, bit: u32) {
-    let total = layout.total_bits();
-    if total == 0 || frame.len() < ETH_HEADER_LEN + layout.total_bytes() {
-        return; // nothing corruptible (malformed frames already error)
-    }
-    let bit = (bit % total) as usize;
-    frame[ETH_HEADER_LEN + bit / 8] ^= 0x80 >> (bit % 8);
-}
-
 /// The marker payload injected panics carry, so the supervision layer
 /// (and the process-wide quiet hook) can tell chaos from genuine bugs.
 #[derive(Debug, Clone, Copy)]
@@ -459,8 +425,6 @@ impl FaultyHealer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unroller_core::UnrollerParams;
-    use unroller_dataplane::HeaderLayout;
 
     #[test]
     fn inactive_plan_never_fires() {
@@ -554,63 +518,6 @@ mod tests {
         assert_eq!(doubled.panic_rate, 0.8);
         assert_eq!(doubled.heal_fail_rate, 1.0, "clamped");
         assert!(!base.scaled(0.0).active());
-    }
-
-    #[test]
-    fn bitflip_touches_every_field_class() {
-        let layout = HeaderLayout::from_params(&UnrollerParams::default());
-        let mut hdr = WireHeader::initial(&layout);
-        let clean = hdr.clone();
-        apply_bitflip(&mut hdr, 3); // xcnt
-        assert_ne!(hdr.xcnt, clean.xcnt);
-        let mut hdr = clean.clone();
-        apply_bitflip(&mut hdr, 8 + 5); // thcnt
-        assert_ne!(hdr.thcnt, clean.thcnt);
-        let mut hdr = clean.clone();
-        apply_bitflip(&mut hdr, 40 + 1); // first swid slot
-        assert_ne!(hdr.swids[0], clean.swids[0]);
-        // Flipping the same bit twice restores the header.
-        apply_bitflip(&mut hdr, 40 + 1);
-        assert_eq!(hdr, clean);
-        // Any u32 index is safe (wraps modulo header size).
-        let mut hdr = clean.clone();
-        apply_bitflip(&mut hdr, u32::MAX);
-    }
-
-    #[test]
-    fn frame_bitflip_lands_in_the_shim_and_is_reversible() {
-        let params = UnrollerParams::default();
-        let layout = HeaderLayout::from_params(&params);
-        let eth = unroller_dataplane::EthernetHeader::for_hosts(1, 2);
-        let frame = unroller_dataplane::parser::build_frame(
-            &layout,
-            &eth,
-            &WireHeader::initial(&layout),
-            b"payload",
-        );
-        for bit in [0u32, 7, 8, 39, layout.total_bits() - 1, u32::MAX] {
-            let mut flipped = frame.clone();
-            apply_bitflip_frame(&mut flipped, &layout, bit);
-            assert_ne!(flipped, frame, "bit {bit} must land");
-            assert_eq!(
-                flipped[..ETH_HEADER_LEN],
-                frame[..ETH_HEADER_LEN],
-                "Ethernet header untouched (bit {bit})"
-            );
-            let shim_end = ETH_HEADER_LEN + layout.total_bytes();
-            assert_eq!(
-                flipped[shim_end..],
-                frame[shim_end..],
-                "payload untouched (bit {bit})"
-            );
-            // XOR is involutive: the same flip restores the frame.
-            apply_bitflip_frame(&mut flipped, &layout, bit);
-            assert_eq!(flipped, frame);
-        }
-        // Frames too short to hold a shim are left alone.
-        let mut runt = vec![0u8; 8];
-        apply_bitflip_frame(&mut runt, &layout, 3);
-        assert_eq!(runt, vec![0u8; 8]);
     }
 
     #[test]

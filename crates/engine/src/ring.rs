@@ -550,6 +550,11 @@ mod tests {
             assert!(p.push(20));
             assert!(p.push(30));
         });
+        // Drain only once the waiter has found the ring full: draining
+        // first could let both pushes through without a stall.
+        while counters.snapshot().stalls == 0 {
+            std::thread::yield_now();
+        }
         let mut out = Vec::new();
         while out.len() < 3 {
             assert!(c.recv_batch(&mut out, 4));

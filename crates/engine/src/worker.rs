@@ -1,22 +1,32 @@
-//! The shard worker: one thread, one ring, one private copy of every
+//! The shard worker: one thread, one ring, read-only access to every
 //! switch pipeline — run under in-thread supervision.
 //!
-//! A worker owns a full clone of the per-switch
-//! [`UnrollerPipeline`]s, indexed by node — register files are
-//! read-only per packet and small, so cloning them per shard buys
-//! completely lock-free packet processing: the hot loop touches only
-//! shard-owned state and its (atomic, uncontended) metrics block.
-//! Flow affinity is what makes this sound: a flow's packets all arrive
-//! on this one shard, so nothing about a packet's journey is ever
-//! visible to another thread.
+//! Every shard reads the same per-switch [`UnrollerPipeline`]s,
+//! indexed by node, through one shared `Arc`: register files are
+//! read-only per packet, so sharing them needs no synchronization and
+//! the hot loop writes only shard-owned state and its (atomic,
+//! uncontended) metrics block. Flow affinity is what makes the rest
+//! sound: a flow's packets all arrive on this one shard, so nothing
+//! about a packet's journey is ever visible to another thread.
 //!
-//! **Wire-frame hot path.** Every hop runs
-//! [`UnrollerPipeline::process_frame_in_place`] on a raw byte frame:
-//! shim bits are read and rewritten directly in the buffer, with no
-//! header decode and no allocation. Generated packets share one
-//! shard-owned scratch frame (only its shim bytes are re-zeroed per
-//! packet); packets replayed from a capture carry their own recorded
-//! bytes and are processed in them, shim state and all.
+//! **Wire-frame hot path: validate once, decode once, encode once.** A
+//! walk checks its frame's length and EtherType once, at its first
+//! processed hop, by building a [`ShimView`]. It decodes the shim once
+//! into a shard-owned scratch [`WireHeader`], runs
+//! [`UnrollerPipeline::process_header`] on that struct at every hop,
+//! and writes the shim back into the frame once when the walk ends.
+//! When no hop continued (a first-hop report) nothing is written, so
+//! the frame leaves exactly as it arrived. The final bytes are those of
+//! [`UnrollerPipeline::process_frame_in_place`] run at every hop
+//! (property-tested below), and no walk allocates. Generated packets
+//! share one shard-owned scratch frame (only its shim bytes are
+//! re-zeroed per packet); packets replayed from a capture carry their
+//! own recorded bytes and are processed in them, shim state and all.
+//! Under a TTL-inferred layout (`xcnt_in_header = false`) the shim
+//! carries no hop count: the decoded `xcnt` starts at 0 and counts the
+//! walk's own hops, as a switch would infer them from the TTL (paper
+//! footnote 3). A carried frame therefore starts counting at its first
+//! replayed hop.
 //!
 //! **Interned routes, swappable mid-run.** Packets carry a [`RouteId`]
 //! into the current route-table *generation*: the worker holds a
@@ -54,8 +64,9 @@
 //! panic (injected by a [`FaultPlan`](crate::faults::FaultPlan) or a
 //! real bug) loses exactly the packet being processed — counted in
 //! `panic_lost`, never silent — and the supervisor restarts the shard
-//! in place: fresh pipeline clones from the pristine template, a clean
-//! scratch header, and the batch resumed at the next packet. Flows
+//! in place: a clean scratch frame and header, an emptied memo, and the
+//! batch resumed at the next packet. The pipelines need no reset: no
+//! walk writes to them. Flows
 //! stay pinned to the shard because the ring, and therefore the flow →
 //! shard mapping, never changes. A per-shard restart budget bounds
 //! pathological inputs: once exhausted the shard drains its ring into
@@ -64,8 +75,7 @@
 use crate::aggregate::LoopEvent;
 use crate::epoch::RouteReader;
 use crate::faults::{
-    apply_bitflip_frame, inject_panic, install_quiet_panic_hook, EventFate, EventFaults,
-    PacketFault, ShardFaults,
+    inject_panic, install_quiet_panic_hook, EventFate, EventFaults, PacketFault, ShardFaults,
 };
 use crate::flow::FlowKey;
 use crate::memo::{MemoConfig, MemoTable, MemoVerdict};
@@ -81,6 +91,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use unroller_core::SwitchId;
 use unroller_dataplane::parser::build_frame;
+use unroller_dataplane::pipeline::ShimView;
 use unroller_dataplane::{
     EthernetHeader, HeaderLayout, UnrollerPipeline, WireHeader, ETH_HEADER_LEN,
 };
@@ -99,14 +110,22 @@ const MIN_FRAME_LEN: usize = 64;
 /// below `u32::MAX`.)
 const ROUTE_VALID: u32 = u32::MAX;
 
+/// A shard's reusable walk state, rebuilt on restart: the wire frame
+/// frameless packets are walked in, and the decoded header every walk
+/// runs the control block on. Walking a packet allocates nothing.
+struct Scratch {
+    frame: Vec<u8>,
+    hdr: WireHeader,
+}
+
 /// One shard's processing loop.
 pub struct ShardWorker {
     /// Shard index (for event attribution).
     pub shard: usize,
-    /// Pristine per-node pipeline template, indexed by `NodeId`
-    /// (`pipelines[node]`); shared read-only across shards. Each worker
-    /// clones a private working set from it — and re-clones on restart,
-    /// discarding whatever a panic left half-written.
+    /// Per-node pipelines, indexed by `NodeId` (`pipelines[node]`),
+    /// shared read-only by every shard. Processing takes `&self` and no
+    /// pipeline has interior mutability, so a panic mid-walk cannot
+    /// leave one half-written.
     pub pipelines: Arc<Vec<UnrollerPipeline>>,
     /// Switch IDs, indexed the same way.
     pub ids: Arc<[SwitchId]>,
@@ -156,7 +175,6 @@ impl ShardWorker {
             install_quiet_panic_hook();
         }
         let cpu_start = thread_cpu_ns();
-        let mut working: Vec<UnrollerPipeline> = (*self.pipelines).clone();
         // Route validity, settled once *per generation*: err_hops[route]
         // is the first hop that would leave the pipeline array
         // (ROUTE_VALID when none does). The hot walk compares against
@@ -168,11 +186,8 @@ impl ShardWorker {
         let mut err_hops: Vec<u32> = Vec::new();
         self.routes
             .routes()
-            .first_invalid_hops_into(working.len(), &mut err_hops);
-        // One scratch wire frame reused across every frameless packet:
-        // the zero-copy pipeline rewrites shim bits in this buffer
-        // directly, so walking a path allocates nothing.
-        let mut scratch = self.scratch_frame();
+            .first_invalid_hops_into(self.pipelines.len(), &mut err_hops);
+        let mut scratch = self.scratch();
         // The memo table shares err_hops' invalidation discipline: both
         // are generation-keyed caches rebuilt at the same batch
         // boundary, with allocations reused across swaps.
@@ -202,7 +217,7 @@ impl ShardWorker {
             if self.routes.refresh().is_some() {
                 self.routes
                     .routes()
-                    .first_invalid_hops_into(working.len(), &mut err_hops);
+                    .first_invalid_hops_into(self.pipelines.len(), &mut err_hops);
                 if let Some(table) = memo.as_mut() {
                     // Same keying as err_hops: entries from the old
                     // generation must never answer for a reused slot.
@@ -245,14 +260,7 @@ impl ShardWorker {
                         let i = cursor.get();
                         cursor.set(i + 1);
                         let fault = pfaults.get(i).copied().unwrap_or(PacketFault::None);
-                        self.process(
-                            &working,
-                            &err_hops,
-                            &mut batch[i],
-                            &mut scratch,
-                            fault,
-                            &mut memo,
-                        );
+                        self.process(&err_hops, &mut batch[i], &mut scratch, fault, &mut memo);
                     }
                 }));
                 if outcome.is_ok() {
@@ -273,13 +281,11 @@ impl ShardWorker {
                 }
                 restarts += 1;
                 self.metrics.restarts.fetch_add(1, Ordering::Relaxed);
-                // Restart: re-pin this shard's flows to fresh pipeline
-                // clones and a clean scratch frame, discarding any
-                // state the panic left half-written. The memo table is
-                // re-warmed from scratch — cheaper than proving a
+                // Restart: a clean scratch frame and header, discarding
+                // whatever the panic left half-written. The memo table
+                // is re-warmed from scratch — cheaper than proving a
                 // half-recorded entry impossible.
-                working = (*self.pipelines).clone();
-                scratch = self.scratch_frame();
+                scratch = self.scratch();
                 if let Some(table) = memo.as_mut() {
                     table.invalidate(self.routes.routes().len());
                 }
@@ -313,18 +319,13 @@ impl ShardWorker {
         }
     }
 
-    /// The reusable wire buffer for frameless packets: a minimum-size
-    /// Ethernet frame carrying an all-zero shim. Only the shim bytes
-    /// are reset between packets (the rest is never written).
-    fn scratch_frame(&self) -> Vec<u8> {
-        let mut frame = build_frame(
-            &self.layout,
-            &EthernetHeader::for_hosts(0, 1),
-            &WireHeader::initial(&self.layout),
-            &[],
-        );
+    /// Fresh walk state: a minimum-size Ethernet frame carrying an
+    /// all-zero shim, and an initial header.
+    fn scratch(&self) -> Scratch {
+        let hdr = WireHeader::initial(&self.layout);
+        let mut frame = build_frame(&self.layout, &EthernetHeader::for_hosts(0, 1), &hdr, &[]);
         frame.resize(frame.len().max(MIN_FRAME_LEN), 0);
-        frame
+        Scratch { frame, hdr }
     }
 
     /// Processes one packet, applying this packet's injected fault (if
@@ -335,10 +336,9 @@ impl ShardWorker {
     /// own state.
     fn process(
         &self,
-        pipelines: &[UnrollerPipeline],
         err_hops: &[u32],
         packet: &mut EnginePacket,
-        scratch: &mut [u8],
+        scratch: &mut Scratch,
         fault: PacketFault,
         memo: &mut Option<MemoTable>,
     ) {
@@ -362,11 +362,11 @@ impl ShardWorker {
         let idx = packet.route.index();
         let err_hop = err_hops[idx];
         let end = match (packet.frame.as_mut(), memo.as_mut()) {
-            (Some(frame), _) => self.walk_frame(pipelines, route, err_hop, frame, flip),
+            (Some(frame), _) => self.walk_frame(route, err_hop, frame, &mut scratch.hdr, flip),
             (None, Some(table)) if flip.is_none() => {
-                self.walk_memoized(pipelines, route, err_hop, idx, scratch, table)
+                self.walk_memoized(route, err_hop, idx, scratch, table)
             }
-            (None, _) => self.walk_generated(pipelines, route, err_hop, scratch, flip),
+            (None, _) => self.walk_generated(route, err_hop, scratch, flip),
         };
         self.settle(packet.flow, packet.seq, route, end);
     }
@@ -376,18 +376,17 @@ impl ShardWorker {
     /// into the table on a miss.
     fn walk_memoized(
         &self,
-        pipelines: &[UnrollerPipeline],
         route: &CompiledRoute,
         err_hop: u32,
         idx: usize,
-        scratch: &mut [u8],
+        scratch: &mut Scratch,
         table: &mut MemoTable,
     ) -> MemoVerdict {
         let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
         let Some(cached) = table.lookup_verdict(idx) else {
             self.metrics.memo_misses.fetch_add(1, Ordering::Relaxed);
-            let end = self.walk_generated(pipelines, route, err_hop, scratch, None);
-            table.record(idx, end, &scratch[ETH_HEADER_LEN..shim_end]);
+            let end = self.walk_generated(route, err_hop, scratch, None);
+            table.record(idx, end, &scratch.frame[ETH_HEADER_LEN..shim_end]);
             return end;
         };
         self.metrics.memo_hits.fetch_add(1, Ordering::Relaxed);
@@ -401,8 +400,8 @@ impl ShardWorker {
         self.metrics
             .memo_sampled_walks
             .fetch_add(1, Ordering::Relaxed);
-        let end = self.walk_generated(pipelines, route, err_hop, scratch, None);
-        if end != cached || !table.shim_matches(idx, &scratch[ETH_HEADER_LEN..shim_end]) {
+        let end = self.walk_generated(route, err_hop, scratch, None);
+        if end != cached || !table.shim_matches(idx, &scratch.frame[ETH_HEADER_LEN..shim_end]) {
             self.metrics.memo_divergence.fetch_add(1, Ordering::Relaxed);
         }
         end
@@ -412,86 +411,116 @@ impl ShardWorker {
     /// (all zeros) and walks it.
     fn walk_generated(
         &self,
-        pipelines: &[UnrollerPipeline],
         route: &CompiledRoute,
         err_hop: u32,
-        scratch: &mut [u8],
+        scratch: &mut Scratch,
         flip: Option<(u32, u32)>,
     ) -> MemoVerdict {
         let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
-        scratch[ETH_HEADER_LEN..shim_end].fill(0);
-        self.walk_frame(pipelines, route, err_hop, scratch, flip)
+        scratch.frame[ETH_HEADER_LEN..shim_end].fill(0);
+        self.walk_frame(route, err_hop, &mut scratch.frame, &mut scratch.hdr, flip)
     }
 
     /// Walks one wire frame along its interned route through the
-    /// per-switch pipelines — shim bits rewritten in place at every hop
-    /// via the zero-copy frame path — and returns the terminal outcome
-    /// without touching any outcome counter ([`Self::settle`] does
-    /// that), so walked and memoized packets settle through identical
-    /// accounting.
+    /// per-switch pipelines and returns the terminal outcome without
+    /// touching any outcome counter ([`Self::settle`] does that), so
+    /// walked and memoized packets settle through identical accounting.
+    ///
+    /// Each hop runs route end → invalid node (`err_hop`) → frame
+    /// validation (first processed hop only) → scheduled bit-flip →
+    /// control block on `hdr` → TTL. A malformed frame fails identically
+    /// at every switch, so it is rejected once, before any hop runs and
+    /// without a byte written. The shim is written back when the walk
+    /// ends unless no hop continued.
     fn walk_frame(
         &self,
-        pipelines: &[UnrollerPipeline],
         route: &CompiledRoute,
         err_hop: u32,
         frame: &mut [u8],
+        hdr: &mut WireHeader,
         mut flip: Option<(u32, u32)>,
     ) -> MemoVerdict {
-        let mut hop = 0u32;
-        // Cycle cursor: walks `pre` by hop index, then wraps through
-        // `cycle` without a per-hop modulo.
-        let mut cycle_idx = 0usize;
-        loop {
-            let node = if (hop as usize) < route.pre.len() {
-                route.pre[hop as usize]
-            } else if route.cycle.is_empty() {
-                // Route ended: delivered.
-                return MemoVerdict::Delivered { hops: hop };
-            } else {
-                let n = route.cycle[cycle_idx];
-                cycle_idx += 1;
-                if cycle_idx == route.cycle.len() {
-                    cycle_idx = 0;
-                }
-                n
-            };
-            if hop == err_hop {
-                // Pre-computed per generation: this hop leaves the
-                // pipeline array. Everything before it was processed
-                // normally.
-                return MemoVerdict::RouteError { hops: hop };
-            }
-            // In bounds by the err_hop pre-check (hop < err_hop here).
-            let pipeline = &pipelines[node];
-            if let Some((at_hop, bit)) = flip {
-                if hop == at_hop {
-                    // On-the-wire corruption between two switches.
-                    apply_bitflip_frame(frame, &self.layout, bit);
+        let pipelines: &[UnrollerPipeline] = &self.pipelines;
+        // `pre`, then `cycle` forever (empty when loop-free).
+        let mut nodes = route.pre.iter().chain(route.cycle.iter().cycle()).copied();
+        let Some(mut node) = nodes.next() else {
+            return MemoVerdict::Delivered { hops: 0 };
+        };
+        if err_hop == 0 {
+            return MemoVerdict::RouteError { hops: 0 };
+        }
+        let mut view = match ShimView::new(&self.layout, frame) {
+            Ok(view) => view,
+            Err(_) => {
+                if matches!(flip, Some((0, _))) {
+                    // Scheduled, but there is no shim to land in.
                     self.metrics
                         .bitflips_injected
                         .fetch_add(1, Ordering::Relaxed);
+                }
+                return MemoVerdict::FrameError { hops: 0 };
+            }
+        };
+        view.decode_into(hdr);
+        let mut hop = 0u32;
+        let end = loop {
+            if let Some((at_hop, bit)) = flip {
+                if hop == at_hop {
                     flip = None;
+                    self.flip_in_flight(&mut view, hdr, hop > 0, bit);
                 }
             }
             hop += 1;
-            match pipeline.process_frame_in_place(frame) {
-                Ok(verdict) if verdict.reported() => {
-                    return MemoVerdict::Loop {
-                        trigger: node as u32,
-                        hop,
-                    };
-                }
-                Ok(_) => {}
-                Err(_) => {
-                    // A malformed frame fails identically at every
-                    // switch: count it once and terminate the walk.
-                    return MemoVerdict::FrameError { hops: hop - 1 };
-                }
+            // In bounds: every hop before `err_hop` names a provisioned node.
+            if pipelines[node].process_header(hdr).reported() {
+                break MemoVerdict::Loop {
+                    trigger: node as u32,
+                    hop,
+                };
             }
             if hop >= self.max_hops {
-                return MemoVerdict::TtlDropped { hops: hop };
+                break MemoVerdict::TtlDropped { hops: hop };
             }
+            let Some(next) = nodes.next() else {
+                break MemoVerdict::Delivered { hops: hop };
+            };
+            if hop == err_hop {
+                break MemoVerdict::RouteError { hops: hop };
+            }
+            node = next;
+        };
+        // Every hop before a report continued, so only a first-hop report
+        // leaves nothing to write back: the frame stays as it came, as
+        // after a report at a real switch.
+        if !matches!(end, MemoVerdict::Loop { hop: 1, .. }) {
+            view.encode_from(hdr);
         }
+        end
+    }
+
+    /// On-the-wire corruption between two switches, landing on the
+    /// walk's current state: write it back if any hop has changed it
+    /// (`continued`), flip the wire bit, decode again. A TTL-inferred
+    /// layout keeps its hop count, which lives in the TTL, not the shim.
+    fn flip_in_flight(
+        &self,
+        view: &mut ShimView<'_>,
+        hdr: &mut WireHeader,
+        continued: bool,
+        bit: u32,
+    ) {
+        if continued {
+            view.encode_from(hdr);
+        }
+        view.flip_bit(bit);
+        let xcnt = hdr.xcnt;
+        view.decode_into(hdr);
+        if self.layout.xcnt_bits == 0 {
+            hdr.xcnt = xcnt;
+        }
+        self.metrics
+            .bitflips_injected
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Applies a walk outcome to the shard's books: hop and outcome
@@ -623,8 +652,10 @@ mod tests {
     use crate::packet::PathSpec;
     use crate::ring::{ring, FullPolicy};
     use crate::route::{RouteId, RouteSet, RouteSetBuilder};
+    use proptest::prelude::*;
     use std::time::Duration;
-    use unroller_core::UnrollerParams;
+    use unroller_core::{UnrollerParams, Verdict};
+    use unroller_dataplane::parser::{parse_frame, rewrite_shim};
 
     const RECV_WAIT: Duration = Duration::from_secs(10);
 
@@ -636,11 +667,22 @@ mod tests {
         crate::ring::RingProducer<EnginePacket>,
         std::sync::mpsc::Receiver<LoopEvent>,
     ) {
-        let params = UnrollerParams::default();
+        worker_fixture_for(UnrollerParams::default(), nodes, max_hops)
+    }
+
+    fn worker_fixture_for(
+        params: UnrollerParams,
+        nodes: usize,
+        max_hops: u32,
+    ) -> (
+        ShardWorker,
+        crate::ring::RingProducer<EnginePacket>,
+        std::sync::mpsc::Receiver<LoopEvent>,
+    ) {
         let ids: Arc<[SwitchId]> = (0..nodes as u32).map(|i| 100 + i).collect();
         let pipelines = Arc::new(
             ids.iter()
-                .map(|&id| UnrollerPipeline::new(id, params).expect("valid default params"))
+                .map(|&id| UnrollerPipeline::new(id, params).expect("valid params"))
                 .collect::<Vec<_>>(),
         );
         // Tests enqueue everything before `run()` starts consuming, so
@@ -1268,5 +1310,146 @@ mod tests {
             memoized.memo_sampled_walks, 56,
             "paranoid mode re-walks every hit"
         );
+    }
+
+    /// The per-switch reference for one walk, in the worker's hop order
+    /// (route end → unknown node → flip → kernel → TTL), with a whole
+    /// frame operation at every hop. Header layouts run
+    /// `process_frame_in_place`; TTL-inferred layouts decode, run
+    /// `process_header_ttl` with the hops walked so far, and re-encode
+    /// on `Continue`.
+    fn reference_walk(
+        pipelines: &[UnrollerPipeline],
+        layout: &HeaderLayout,
+        route: &CompiledRoute,
+        max_hops: u32,
+        frame: &mut [u8],
+        flip: Option<(u32, u32)>,
+        flips: &mut u64,
+    ) -> MemoVerdict {
+        let mut hop = 0u32;
+        loop {
+            let Some(node) = route.hop(hop as usize) else {
+                return MemoVerdict::Delivered { hops: hop };
+            };
+            let Some(pipeline) = pipelines.get(node) else {
+                return MemoVerdict::RouteError { hops: hop };
+            };
+            if flip.is_some_and(|(at_hop, _)| at_hop == hop) {
+                *flips += 1;
+                if let Ok(mut view) = ShimView::new(layout, frame) {
+                    view.flip_bit(flip.expect("checked").1);
+                }
+            }
+            let verdict = if layout.xcnt_bits > 0 {
+                pipeline.process_frame_in_place(frame)
+            } else {
+                let parsed = parse_frame(layout, frame).map(|(_, hdr, _)| hdr);
+                parsed.map(|mut hdr| {
+                    let verdict = pipeline.process_header_ttl(&mut hdr, hop.min(255) as u8);
+                    if verdict == Verdict::Continue {
+                        rewrite_shim(layout, frame, &hdr);
+                    }
+                    verdict
+                })
+            };
+            hop += 1;
+            match verdict {
+                Err(_) => return MemoVerdict::FrameError { hops: hop - 1 },
+                Ok(v) if v.reported() => {
+                    return MemoVerdict::Loop {
+                        trigger: node as u32,
+                        hop,
+                    }
+                }
+                Ok(_) => {}
+            }
+            if hop >= max_hops {
+                return MemoVerdict::TtlDropped { hops: hop };
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The decode-once walk against the per-switch path: same
+        /// verdict, same final frame bytes, same flip count, across
+        /// parameter space (TTL-inferred layouts included), routes with
+        /// unknown nodes, loops and TTL caps, carried shims with garbage
+        /// in every bit (padding too), payloads short enough that field
+        /// accesses fall back from the 8-byte window, scheduled flips,
+        /// and truncated or foreign frames.
+        #[test]
+        fn walk_matches_the_per_switch_path(
+            b in 2u32..=9,
+            z in 1u32..=32,
+            c in 1u32..=4,
+            h in 1u32..=4,
+            th in 1u32..=8,
+            xcnt_in_header in prop::bool::ANY,
+            nodes in 1usize..8,
+            pre in prop::collection::vec(0usize..10, 0..8),
+            cycle in prop::collection::vec(0usize..10, 0..5),
+            max_hops in 1u32..48,
+            shim in prop::collection::vec(any::<u8>(), 72),
+            payload in prop::collection::vec(any::<u8>(), 0..=12),
+            flip_at in 0u32..12,
+            flip_bit in any::<u32>(),
+            damage in 0usize..6,
+            cut in any::<usize>(),
+            ethertype in any::<u16>(),
+        ) {
+            let params = UnrollerParams {
+                xcnt_in_header,
+                ..UnrollerParams::default().with_b(b).with_z(z).with_c(c).with_h(h).with_th(th)
+            };
+            let layout = HeaderLayout::from_params(&params);
+            let flip = (flip_at < 8).then_some((flip_at, flip_bit));
+            let (worker, _producer, _events) = worker_fixture_for(params, nodes, max_hops);
+            let spec = if cycle.is_empty() {
+                PathSpec::linear(pre)
+            } else {
+                PathSpec::looping(pre, cycle)
+            };
+            let routes = RouteSet::from_specs(&[spec]);
+            let route = routes.get(RouteId::from_index(0));
+            let err_hop = routes.first_invalid_hops(nodes)[0];
+
+            let mut frame = build_frame(
+                &layout,
+                &EthernetHeader::for_hosts(0, 1),
+                &WireHeader::initial(&layout),
+                &payload,
+            );
+            let shim_end = ETH_HEADER_LEN + layout.total_bytes();
+            frame[ETH_HEADER_LEN..shim_end].copy_from_slice(&shim[..layout.total_bytes()]);
+            match damage {
+                0 => frame.truncate(cut % shim_end),
+                1 if ethertype != unroller_dataplane::ETHERTYPE_UNROLLER => {
+                    frame[12..14].copy_from_slice(&ethertype.to_be_bytes());
+                }
+                _ => {}
+            }
+            let mut reference = frame.clone();
+
+            // A stale header from an earlier walk must not leak in.
+            let mut hdr = WireHeader::initial(&layout);
+            hdr.xcnt = 200;
+            let walked = worker.walk_frame(route, err_hop, &mut frame, &mut hdr, flip);
+            let mut flips = 0;
+            let want = reference_walk(
+                &worker.pipelines,
+                &layout,
+                route,
+                max_hops,
+                &mut reference,
+                flip,
+                &mut flips,
+            );
+            prop_assert_eq!(walked, want);
+            prop_assert_eq!(&frame, &reference, "final frame bytes");
+            prop_assert_eq!(worker.metrics.snapshot().bitflips_injected, flips);
+        }
     }
 }

@@ -83,6 +83,10 @@ fn memoized_engine_runs_match_walked_runs() {
         UnrollerParams::default(),
         UnrollerParams::default().with_z(7).with_th(4),
         UnrollerParams::default().with_c(2).with_h(2).with_z(12),
+        UnrollerParams {
+            xcnt_in_header: false,
+            ..UnrollerParams::default()
+        },
     ] {
         for seed in [5, 11] {
             let walked = engine_run(params, seed, None);
@@ -245,7 +249,7 @@ proptest! {
     #[test]
     fn random_routes_params_and_shims_stay_bit_exact(
         seed in 0u64..1_000_000,
-        params_idx in 0usize..4,
+        params_idx in 0usize..5,
         faulty in 0usize..2,
     ) {
         let params = [
@@ -253,6 +257,10 @@ proptest! {
             UnrollerParams::default().with_z(7).with_th(4),
             UnrollerParams::default().with_c(2).with_h(2).with_z(12),
             UnrollerParams::default().with_b(3).with_th(2),
+            UnrollerParams {
+                xcnt_in_header: false,
+                ..UnrollerParams::default()
+            },
         ][params_idx];
         let plan = (faulty == 1).then(|| FaultPlan {
             seed,
