@@ -22,6 +22,10 @@ const GLOBAL_HEADER_LEN: usize = 24;
 /// Length of each per-record header.
 const RECORD_HEADER_LEN: usize = 16;
 
+/// libpcap's largest snapshot length. [`PcapStream`] never sizes a
+/// record buffer above it, whatever snaplen the file declares.
+const MAX_SNAPLEN: u32 = 262_144;
+
 /// Builds a pcap capture in memory.
 #[derive(Debug, Clone)]
 pub struct PcapWriter {
@@ -259,7 +263,8 @@ pub enum PcapItem {
 
 /// A chunked, bounded-memory pcap reader over any [`std::io::Read`]:
 /// holds one record in memory at a time, so multi-GB captures stream in
-/// `O(snaplen)` space (what `unroller-analytics` requires).
+/// `O(snaplen)` space (what `unroller-analytics` requires), and no
+/// record buffer exceeds libpcap's 262,144-byte maximum snaplen.
 ///
 /// Unlike [`PcapReader`], a capture cut off mid-record — the common
 /// fate of the *final* record when the capturing process dies — is not
@@ -378,12 +383,14 @@ impl<R: std::io::Read> Iterator for PcapStream<R> {
         let orig_len = self.field(hdr[12..16].try_into().expect("4 bytes"));
         // A captured length beyond the declared snaplen can only come
         // from a corrupt or torn header — treat it like truncation
-        // rather than attempting an unbounded allocation. (Snaplen 0 in
-        // the header gets the same conventional clamp as the writer.)
+        // rather than attempting an unbounded allocation. The snaplen is
+        // as untrusted as the length, so libpcap's maximum caps it.
+        // (Snaplen 0 in the header gets the same conventional clamp as
+        // the writer.)
         let limit = if self.snaplen == 0 {
             65_535
         } else {
-            self.snaplen
+            self.snaplen.min(MAX_SNAPLEN)
         };
         if incl > limit as usize {
             self.done = true;

@@ -1,12 +1,17 @@
 //! The loop-event aggregator: the funnel between worker shards and the
 //! control plane.
 //!
-//! Workers publish [`LoopEvent`]s over an MPSC channel; the aggregator
-//! dedupes them per flow (a trapped flow keeps re-detecting the same
-//! loop packet after packet — the controller needs one report, not
-//! thousands) and hands the surviving reports to an [`EventSink`]. The
-//! shipped sink wraps [`unroller_control::Controller`], closing the
-//! paper's detect → report → localize → heal pipeline at engine scale.
+//! A trapped flow keeps re-detecting the same loop packet after packet,
+//! and the controller needs one report, not thousands. Shards suppress
+//! the repeats first: each shard's report table turns a flow's
+//! detections into events only on a back-off schedule (1st, 2nd, 4th …
+//! 64th, then every 64th; see [`worker`](crate::worker)). Workers
+//! publish those [`LoopEvent`]s over an MPSC channel; the aggregator
+//! still dedupes them exactly per flow, keeping each flow's first event
+//! (which is the flow's first detection), and hands the surviving
+//! reports to an [`EventSink`]. The shipped sink wraps
+//! [`unroller_control::Controller`], closing the paper's detect →
+//! report → localize → heal pipeline at engine scale.
 
 use crate::flow::FlowKey;
 use crate::json::Json;
@@ -14,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
 use unroller_core::SwitchId;
 
-/// One loop detection, as emitted by a worker shard.
+/// One reported loop detection, as emitted by a worker shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopEvent {
     /// The flow whose packet tripped the detector.

@@ -23,7 +23,9 @@
 //!   quarantined at ingress; every enqueued packet is processed or
 //!   counted lost to a (supervised) worker panic. [`EngineReport::accounted`]
 //!   checks the full identity and holds with an active
-//!   [`FaultPlan`](crate::faults::FaultPlan).
+//!   [`FaultPlan`]. Every detection is reported or suppressed by its
+//!   shard, and every reported event reaches the aggregator unless a
+//!   fault dropped it; [`EngineReport::events_accounted`] checks that.
 
 use crate::aggregate::{aggregate_with, AggregatorReport, LoopEvent};
 use crate::epoch::EpochRouteTable;
@@ -334,6 +336,25 @@ impl EngineReport {
             && enqueued == self.processed() + self.panic_lost()
     }
 
+    /// Every detection is accounted for, and so is every loop event:
+    /// on each shard `loop_events == events_sent + events_suppressed`,
+    /// and the aggregator received exactly the sent events, minus
+    /// injected drops and failed sends, plus injected duplicates. Holds
+    /// under an active fault plan.
+    pub fn events_accounted(&self) -> bool {
+        let shards_split = self
+            .shard_snapshots
+            .iter()
+            .all(|s| s.loop_events == s.events_sent + s.events_suppressed);
+        let (sent, lost) = self.shard_snapshots.iter().fold((0, 0), |(sent, lost), s| {
+            (
+                sent + s.events_sent + s.events_duplicated_injected,
+                lost + s.events_dropped_injected + s.events_send_failed,
+            )
+        });
+        shards_split && self.aggregator.events_received + lost == sent
+    }
+
     /// Serializes the full report.
     pub fn to_json(&self) -> Json {
         let mut obj = Json::object();
@@ -355,6 +376,7 @@ impl EngineReport {
         );
         obj.set("loop_detected", Json::Bool(self.loop_detected()));
         obj.set("accounted", Json::Bool(self.accounted()));
+        obj.set("events_accounted", Json::Bool(self.events_accounted()));
         let mut memo = Json::object();
         memo.set("enabled", Json::Bool(self.memo_enabled));
         memo.set("hits", Json::UInt(self.memo_hits()));
@@ -808,8 +830,12 @@ mod tests {
             report.aggregator.duplicates_suppressed > 0,
             "trapped flows re-detect every packet; dedupe must kick in"
         );
-        let events: u64 = report.shard_snapshots.iter().map(|s| s.loop_events).sum();
-        assert_eq!(report.aggregator.events_received, events);
+        assert!(report.events_accounted(), "{report:?}");
+        let detections: u64 = report.shard_snapshots.iter().map(|s| s.loop_events).sum();
+        assert!(
+            report.aggregator.events_received < detections,
+            "shards suppress repeat detections before the channel"
+        );
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! accounting ([`ring`]), walks packets through its private clone of
 //! the per-switch pipelines ([`worker`]), and funnels loop events to an
 //! aggregator that dedupes per flow and hands localized reports to the
-//! `unroller-control` controller ([`aggregate`]). A metrics layer
+//! `unroller-control` controller ([`aggregate`]). Each shard suppresses
+//! a trapped flow's repeat detections first, in a fixed-size report
+//! table that re-reports on a back-off schedule; the aggregator's
+//! per-flow dedupe behind it stays exact. A metrics layer
 //! ([`metrics`]) keeps per-shard counters and latency histograms. The
 //! engine's throughput, CPU cost per packet and detection latency are
 //! measured end to end by the `perfbench` package at the repository

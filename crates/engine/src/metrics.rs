@@ -149,8 +149,15 @@ pub struct ShardMetrics {
     pub delivered: AtomicU64,
     /// Packets dropped on TTL expiry (still looping, undetected).
     pub ttl_dropped: AtomicU64,
-    /// Loop events emitted toward the aggregator.
+    /// Loop detections: packets whose walk ended in a loop report
+    /// (`events_sent + events_suppressed`).
     pub loop_events: AtomicU64,
+    /// Detections the shard's report table reported as loop events,
+    /// counted before the event-fault fate is drawn.
+    pub events_sent: AtomicU64,
+    /// Detections the report table suppressed as repeats of a flow it
+    /// reported recently (no event built, nothing sent).
+    pub events_suppressed: AtomicU64,
     /// Batches pulled off this shard's ring.
     pub batches: AtomicU64,
     /// Packets whose path referenced an unknown switch.
@@ -197,11 +204,11 @@ pub struct ShardMetrics {
     /// Route-table generation swaps this shard observed (reader
     /// refreshes that actually moved generations).
     pub route_swaps_observed: AtomicU64,
-    /// Loop events raised against a route generation published *after*
+    /// Loop detections against a route generation published *after*
     /// this worker started — live detections, not replay.
     pub loops_after_swap: AtomicU64,
-    /// Detection latency: generation publish → the first loop event
-    /// this shard raised against that generation (ns, one sample per
+    /// Detection latency: generation publish → the first detection
+    /// this shard made against that generation (ns, one sample per
     /// generation per shard).
     pub detect_latency_ns: Histogram,
     /// Generated packets settled straight from the per-route memo table
@@ -232,8 +239,12 @@ pub struct ShardSnapshot {
     pub delivered: u64,
     /// TTL drops.
     pub ttl_dropped: u64,
-    /// Loop events emitted.
+    /// Loop detections (`events_sent + events_suppressed`).
     pub loop_events: u64,
+    /// Detections reported as loop events (before event faults).
+    pub events_sent: u64,
+    /// Detections suppressed by the report table.
+    pub events_suppressed: u64,
     /// Batches processed.
     pub batches: u64,
     /// Unknown-switch path errors.
@@ -270,9 +281,9 @@ pub struct ShardSnapshot {
     pub pinned_core: Option<u64>,
     /// Route-table generation swaps observed.
     pub route_swaps_observed: u64,
-    /// Loop events against post-startup route generations.
+    /// Loop detections against post-startup route generations.
     pub loops_after_swap: u64,
-    /// Swap-publish → first-loop-event latency per generation (ns).
+    /// Swap-publish → first-detection latency per generation (ns).
     pub detect_latency_ns: HistogramSnapshot,
     /// Packets settled from the memo table without walking.
     pub memo_hits: u64,
@@ -293,6 +304,8 @@ impl ShardMetrics {
             delivered: self.delivered.load(Ordering::Relaxed),
             ttl_dropped: self.ttl_dropped.load(Ordering::Relaxed),
             loop_events: self.loop_events.load(Ordering::Relaxed),
+            events_sent: self.events_sent.load(Ordering::Relaxed),
+            events_suppressed: self.events_suppressed.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             route_errors: self.route_errors.load(Ordering::Relaxed),
             frame_errors: self.frame_errors.load(Ordering::Relaxed),
@@ -354,6 +367,8 @@ impl ShardSnapshot {
         obj.set("delivered", Json::UInt(self.delivered));
         obj.set("ttl_dropped", Json::UInt(self.ttl_dropped));
         obj.set("loop_events", Json::UInt(self.loop_events));
+        obj.set("events_sent", Json::UInt(self.events_sent));
+        obj.set("events_suppressed", Json::UInt(self.events_suppressed));
         obj.set("batches", Json::UInt(self.batches));
         obj.set("route_errors", Json::UInt(self.route_errors));
         obj.set("frame_errors", Json::UInt(self.frame_errors));

@@ -28,9 +28,9 @@
 //! footnote 3). A carried frame therefore starts counting at its first
 //! replayed hop.
 //!
-//! **Interned routes, swappable mid-run.** Packets carry a [`RouteId`]
-//! into the current route-table *generation*: the worker holds a
-//! [`RouteReader`] onto the engine's
+//! **Interned routes, swappable mid-run.** Packets carry a
+//! [`RouteId`](crate::route::RouteId) into the current route-table
+//! *generation*: the worker holds a [`RouteReader`] onto the engine's
 //! [`EpochRouteTable`](crate::epoch::EpochRouteTable) and polls it once
 //! per batch — one atomic load when nothing changed, a pointer swap
 //! when the control plane published new routes. Route validity is
@@ -39,9 +39,27 @@
 //! against its own pipeline count, so the per-hop walk compares one
 //! integer instead of bounds-checking a map lookup — `route_errors` is
 //! decided before the first packet of each generation, and the cached
-//! table can never go stale across a swap. Loop events raised against
-//! a generation published after startup also record **detection
-//! latency** (publish → first loop event on this shard).
+//! table can never go stale across a swap. Detections against a
+//! generation published after startup also record **detection
+//! latency** (publish → first detection on this shard).
+//!
+//! **Report once per flow.** A trapped flow is detected packet after
+//! packet, but the controller needs one report per loop. Each shard
+//! keeps a fixed-size, set-associative report table keyed by the full
+//! [`FlowKey`] (1024 sets × 4 ways, least recently used evicted;
+//! allocated with the scratch state and never grown). A resident flow
+//! reports on its 1st, 2nd, 4th … 64th detection, then on every 64th;
+//! a flow evicted from the table counts from 1 again, so it reports on
+//! its next detection. Either way a flow never goes 64 detections
+//! without a report, which bounds how long an injected event drop can
+//! hide it. A suppressed detection still counts in `loop_events` and
+//! `loops_after_swap` and still records its generation's latency
+//! sample; it skips §3.5 membership collection, the [`LoopEvent`], the
+//! event-fault draw and the channel send (`events_sent` +
+//! `events_suppressed` = `loop_events`). RSS pins a flow to one shard,
+//! so its first detection is always its first event: the aggregator's
+//! exact per-flow dedupe keeps the same events it kept when every
+//! detection was sent.
 //!
 //! **Memoized walks.** With memoization enabled
 //! ([`EngineConfig::memo`](crate::engine::EngineConfig::memo)), the
@@ -64,13 +82,13 @@
 //! panic (injected by a [`FaultPlan`](crate::faults::FaultPlan) or a
 //! real bug) loses exactly the packet being processed — counted in
 //! `panic_lost`, never silent — and the supervisor restarts the shard
-//! in place: a clean scratch frame and header, an emptied memo, and the
-//! batch resumed at the next packet. The pipelines need no reset: no
-//! walk writes to them. Flows
-//! stay pinned to the shard because the ring, and therefore the flow →
-//! shard mapping, never changes. A per-shard restart budget bounds
-//! pathological inputs: once exhausted the shard drains its ring into
-//! the loss counters instead of looping on poison forever.
+//! in place: a clean scratch frame, header and report table (so its
+//! flows just report again), an emptied memo, and the batch resumed at
+//! the next packet. The pipelines need no reset: no walk writes to
+//! them. Flows stay pinned to the shard because the ring, and therefore
+//! the flow → shard mapping, never changes. A per-shard restart budget
+//! bounds pathological inputs: once exhausted the shard drains its ring
+//! into the loss counters instead of looping on poison forever.
 
 use crate::aggregate::LoopEvent;
 use crate::epoch::RouteReader;
@@ -105,17 +123,109 @@ const MEMBERSHIP_CAP: usize = 64;
 /// processing touches realistically sized wire buffers.
 const MIN_FRAME_LEN: usize = 64;
 
+/// Sets in a shard's [`ReportTable`] (a power of two).
+const REPORT_SETS: usize = 1024;
+
+/// Ways per [`ReportTable`] set.
+const REPORT_WAYS: usize = 4;
+
+/// The report back-off ceiling: a resident flow reports on its 1st,
+/// 2nd, 4th … `REPORT_PERIOD`-th detection, then on every
+/// `REPORT_PERIOD`-th (a power of two).
+const REPORT_PERIOD: u64 = 64;
+
+const _: () = assert!(REPORT_SETS.is_power_of_two() && REPORT_PERIOD.is_power_of_two());
+
 /// Sentinel in the per-route validity table: every hop is in bounds.
 /// (A real hop index never reaches it — `max_hops` caps walks far
 /// below `u32::MAX`.)
 const ROUTE_VALID: u32 = u32::MAX;
 
 /// A shard's reusable walk state, rebuilt on restart: the wire frame
-/// frameless packets are walked in, and the decoded header every walk
-/// runs the control block on. Walking a packet allocates nothing.
+/// frameless packets are walked in, the decoded header every walk runs
+/// the control block on, and the report table every detection consults.
+/// Walking a packet allocates nothing.
 struct Scratch {
     frame: Vec<u8>,
     hdr: WireHeader,
+    reports: ReportTable,
+}
+
+/// One report-table way: a flow and the detections counted since it
+/// was inserted (0 marks a free way), stamped with the table clock at
+/// its last detection.
+#[derive(Clone, Copy)]
+struct ReportEntry {
+    flow: FlowKey,
+    detections: u64,
+    last_use: u64,
+}
+
+/// The per-shard report table: decides, per detection, whether the
+/// detection becomes a [`LoopEvent`] (see the module docs). Keys are
+/// compared in full, so a flow is only ever suppressed by its own
+/// entry; a set with no way for a new flow evicts its least recently
+/// detected flow.
+struct ReportTable {
+    /// `REPORT_SETS` sets of `REPORT_WAYS` consecutive ways.
+    entries: Box<[ReportEntry]>,
+    /// Detections seen, the LRU clock.
+    clock: u64,
+}
+
+impl ReportTable {
+    fn new() -> Self {
+        let free = ReportEntry {
+            flow: FlowKey {
+                src_ip: 0,
+                dst_ip: 0,
+                src_port: 0,
+                dst_port: 0,
+                proto: 0,
+            },
+            detections: 0,
+            last_use: 0,
+        };
+        ReportTable {
+            entries: vec![free; REPORT_SETS * REPORT_WAYS].into_boxed_slice(),
+            clock: 0,
+        }
+    }
+
+    /// The set `flow` lives in.
+    fn set_of(flow: &FlowKey) -> usize {
+        flow.rss_hash() as usize & (REPORT_SETS - 1)
+    }
+
+    /// Counts one detection of `flow` and says whether to report it.
+    fn should_report(&mut self, flow: FlowKey) -> bool {
+        self.clock += 1;
+        let base = Self::set_of(&flow) * REPORT_WAYS;
+        let set = &mut self.entries[base..base + REPORT_WAYS];
+        let way = match set.iter().position(|e| e.detections > 0 && e.flow == flow) {
+            Some(way) => way,
+            None => {
+                // A free way has `last_use` 0, so it goes first.
+                let (way, _) = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.last_use)
+                    .expect("a set has REPORT_WAYS > 0 ways");
+                set[way].flow = flow;
+                set[way].detections = 0;
+                way
+            }
+        };
+        let entry = &mut set[way];
+        entry.detections += 1;
+        entry.last_use = self.clock;
+        let n = entry.detections;
+        if n <= REPORT_PERIOD {
+            n.is_power_of_two()
+        } else {
+            n.is_multiple_of(REPORT_PERIOD)
+        }
+    }
 }
 
 /// One shard's processing loop.
@@ -281,10 +391,11 @@ impl ShardWorker {
                 }
                 restarts += 1;
                 self.metrics.restarts.fetch_add(1, Ordering::Relaxed);
-                // Restart: a clean scratch frame and header, discarding
-                // whatever the panic left half-written. The memo table
-                // is re-warmed from scratch — cheaper than proving a
-                // half-recorded entry impossible.
+                // Restart: a clean scratch frame, header and report
+                // table, discarding whatever the panic left
+                // half-written. The memo table is re-warmed from
+                // scratch — cheaper than proving a half-recorded entry
+                // impossible.
                 scratch = self.scratch();
                 if let Some(table) = memo.as_mut() {
                     table.invalidate(self.routes.routes().len());
@@ -320,12 +431,16 @@ impl ShardWorker {
     }
 
     /// Fresh walk state: a minimum-size Ethernet frame carrying an
-    /// all-zero shim, and an initial header.
+    /// all-zero shim, an initial header and an empty report table.
     fn scratch(&self) -> Scratch {
         let hdr = WireHeader::initial(&self.layout);
         let mut frame = build_frame(&self.layout, &EthernetHeader::for_hosts(0, 1), &hdr, &[]);
         frame.resize(frame.len().max(MIN_FRAME_LEN), 0);
-        Scratch { frame, hdr }
+        Scratch {
+            frame,
+            hdr,
+            reports: ReportTable::new(),
+        }
     }
 
     /// Processes one packet, applying this packet's injected fault (if
@@ -368,7 +483,7 @@ impl ShardWorker {
             }
             (None, _) => self.walk_generated(route, err_hop, scratch, flip),
         };
-        self.settle(packet.flow, packet.seq, route, end);
+        self.settle(&mut scratch.reports, packet.flow, packet.seq, route, end);
     }
 
     /// The memo path for a generated packet: the cached verdict on a
@@ -524,10 +639,17 @@ impl ShardWorker {
     }
 
     /// Applies a walk outcome to the shard's books: hop and outcome
-    /// counters, plus §3.5 membership collection and the loop event for
-    /// detections. The single accounting sink for every walk flavour —
-    /// a memoized verdict is indistinguishable from a walked one here.
-    fn settle(&self, flow: FlowKey, seq: u64, route: &CompiledRoute, end: MemoVerdict) {
+    /// counters, plus the report decision for detections. The single
+    /// accounting sink for every walk flavour — a memoized verdict is
+    /// indistinguishable from a walked one here.
+    fn settle(
+        &self,
+        reports: &mut ReportTable,
+        flow: FlowKey,
+        seq: u64,
+        route: &CompiledRoute,
+        end: MemoVerdict,
+    ) {
         match end {
             MemoVerdict::Delivered { hops } => {
                 self.metrics.hops.fetch_add(hops as u64, Ordering::Relaxed);
@@ -535,7 +657,7 @@ impl ShardWorker {
             }
             MemoVerdict::Loop { trigger, hop } => {
                 self.metrics.hops.fetch_add(hop as u64, Ordering::Relaxed);
-                self.report_loop(flow, seq, route, trigger as usize, hop);
+                self.report_loop(reports, flow, seq, route, trigger as usize, hop);
             }
             MemoVerdict::TtlDropped { hops } => {
                 self.metrics.hops.fetch_add(hops as u64, Ordering::Relaxed);
@@ -552,19 +674,46 @@ impl ShardWorker {
         }
     }
 
-    /// §3.5 membership collection: from the trigger switch, keep
-    /// following the (known, looping) route recording switch IDs until
-    /// the trigger reappears — the recorded set is the loop. Takes the
-    /// packet's fields separately so the caller's in-place frame borrow
-    /// stays undisturbed.
+    /// Counts one detection, then, when the report table says so, runs
+    /// §3.5 membership collection and sends the loop event: from the
+    /// trigger switch, keep following the (known, looping) route
+    /// recording switch IDs until the trigger reappears — the recorded
+    /// set is the loop. Takes the packet's fields separately so the
+    /// caller's in-place frame borrow stays undisturbed.
     fn report_loop(
         &self,
+        reports: &mut ReportTable,
         flow: FlowKey,
         seq: u64,
         route: &CompiledRoute,
         trigger_node: usize,
         hop: u32,
     ) {
+        self.metrics.loop_events.fetch_add(1, Ordering::Relaxed);
+        let gen = self.routes.generation();
+        if gen > self.routes.initial_generation() {
+            // This loop lives in a route generation published while
+            // traffic was already flowing — live detection, not replay.
+            self.metrics
+                .loops_after_swap
+                .fetch_add(1, Ordering::Relaxed);
+            // First detection this shard makes against `gen` records
+            // the detection latency: swap publish → detection.
+            if self.metrics.latency_gen.fetch_max(gen, Ordering::Relaxed) < gen {
+                if let Some(published) = self.routes.publish_ns(gen) {
+                    self.metrics
+                        .detect_latency_ns
+                        .record(self.routes.now_ns().saturating_sub(published));
+                }
+            }
+        }
+        if !reports.should_report(flow) {
+            self.metrics
+                .events_suppressed
+                .fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        self.metrics.events_sent.fetch_add(1, Ordering::Relaxed);
         let trigger = self.ids[trigger_node];
         let mut members = vec![trigger];
         let mut complete = false;
@@ -582,24 +731,6 @@ impl ShardWorker {
             }
             members.push(id);
             i += 1;
-        }
-        self.metrics.loop_events.fetch_add(1, Ordering::Relaxed);
-        let gen = self.routes.generation();
-        if gen > self.routes.initial_generation() {
-            // This loop lives in a route generation published while
-            // traffic was already flowing — live detection, not replay.
-            self.metrics
-                .loops_after_swap
-                .fetch_add(1, Ordering::Relaxed);
-            // First loop event this shard raises against `gen` records
-            // the detection latency: swap publish → loop event.
-            if self.metrics.latency_gen.fetch_max(gen, Ordering::Relaxed) < gen {
-                if let Some(published) = self.routes.publish_ns(gen) {
-                    self.metrics
-                        .detect_latency_ns
-                        .record(self.routes.now_ns().saturating_sub(published));
-                }
-            }
         }
         let event = LoopEvent {
             flow,
@@ -653,6 +784,8 @@ mod tests {
     use crate::ring::{ring, FullPolicy};
     use crate::route::{RouteId, RouteSet, RouteSetBuilder};
     use proptest::prelude::*;
+    use rand::Rng;
+    use std::collections::HashMap;
     use std::time::Duration;
     use unroller_core::{UnrollerParams, Verdict};
     use unroller_dataplane::parser::{parse_frame, rewrite_shim};
@@ -864,7 +997,8 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.packets, 5, "worker drains despite the dead sink");
         assert_eq!(snap.loop_events, 5);
-        assert_eq!(snap.events_send_failed, 5);
+        assert_eq!(snap.events_sent, 3, "detections 1, 2 and 4 report");
+        assert_eq!(snap.events_send_failed, snap.events_sent);
     }
 
     #[test]
@@ -1067,18 +1201,24 @@ mod tests {
         worker.event_faults = plan.event_faults(0);
         let metrics = worker.metrics.clone();
         for seq in 0..50 {
-            producer.push(packet(seq, route));
+            for f in 0..8 {
+                producer.push(EnginePacket {
+                    flow: FlowKey::synthetic(0, 1, f),
+                    ..packet(seq, route)
+                });
+            }
         }
         drop(producer);
         worker.run();
         let snap = metrics.snapshot();
-        assert_eq!(snap.loop_events, 50, "every detection is counted");
+        assert_eq!(snap.loop_events, 400, "every detection is counted");
+        assert_eq!(snap.events_sent, 48, "detections 1, 2, 4 … 32 of 8 flows");
         assert!(snap.events_dropped_injected > 0);
         assert!(snap.events_duplicated_injected > 0);
         let received = ev_rx.try_iter().count() as u64;
         assert_eq!(
             received,
-            snap.loop_events - snap.events_dropped_injected + snap.events_duplicated_injected,
+            snap.events_sent - snap.events_dropped_injected + snap.events_duplicated_injected,
             "channel traffic matches the injected drop/dup accounting"
         );
     }
@@ -1206,7 +1346,39 @@ mod tests {
             snap.memo_misses >= 2,
             "the swap forced at least one re-warm miss"
         );
-        assert_eq!(ev_rx.try_iter().count(), 4);
+        assert_eq!(ev_rx.try_iter().count(), 3, "detections 1, 2 and 4 report");
+    }
+
+    #[test]
+    fn a_trapped_flow_reports_on_the_back_off_schedule() {
+        let path = PathSpec::looping(vec![0], vec![1, 2, 3]);
+        // A one-packet run raises the first detection's event.
+        let (mut worker, producer, ev_rx) = worker_fixture(6, 64);
+        let route = install_route(&mut worker, path.clone());
+        producer.push(packet(0, route));
+        drop(producer);
+        worker.run();
+        let first = ev_rx
+            .recv_timeout(RECV_WAIT)
+            .expect("a first detection reports");
+
+        let (mut worker, producer, ev_rx) = worker_fixture(6, 64);
+        let route = install_route(&mut worker, path);
+        let metrics = worker.metrics.clone();
+        for seq in 0..200 {
+            producer.push(packet(seq, route));
+        }
+        drop(producer);
+        worker.run();
+        let snap = metrics.snapshot();
+        assert_eq!(snap.loop_events, 200);
+        assert_eq!(snap.events_sent, 9);
+        assert_eq!(snap.events_suppressed, 191);
+        let events: Vec<LoopEvent> = ev_rx.try_iter().collect();
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        // Packet `seq` is detection `seq + 1`: 1, 2, 4 … 64, then 128, 192.
+        assert_eq!(seqs, [0, 1, 3, 7, 15, 31, 63, 127, 191]);
+        assert_eq!(events[0], first, "seq, hop, trigger and members");
     }
 
     #[test]
@@ -1366,6 +1538,90 @@ mod tests {
             }
             if hop >= max_hops {
                 return MemoVerdict::TtlDropped { hops: hop };
+            }
+        }
+    }
+
+    fn random_key(rng: &mut impl Rng) -> FlowKey {
+        FlowKey {
+            src_ip: rng.gen(),
+            dst_ip: rng.gen(),
+            src_port: rng.gen(),
+            dst_port: rng.gen(),
+            proto: rng.gen(),
+        }
+    }
+
+    /// A random flow key whose report-table set satisfies `keep`.
+    fn key_in(rng: &mut impl Rng, keep: impl Fn(usize) -> bool) -> FlowKey {
+        loop {
+            let key = random_key(rng);
+            if keep(ReportTable::set_of(&key)) {
+                return key;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The report table's contract on random detection streams over
+        /// twice as many flows as it holds: every flow's first detection
+        /// reports; a flow never goes `REPORT_PERIOD` detections without
+        /// a report, evicted or not; and a flow that cannot be evicted
+        /// reports exactly at detections 1, 2, 4 … 64, then every 64th.
+        /// Hot flows share a crowded set with cold ones (so they are
+        /// evicted), and `REPORT_WAYS` hot flows own a quiet set no other
+        /// flow maps to (so they never are).
+        #[test]
+        fn report_table_keeps_its_schedule_under_eviction(
+            seed in any::<u64>(),
+            crowded_hot in 1usize..=6,
+            len in 4_000usize..16_000,
+        ) {
+            let mut rng = unroller_core::test_rng(seed);
+            let quiet = rng.gen_range(0..REPORT_SETS);
+            let crowded = (quiet + rng.gen_range(1..REPORT_SETS)) % REPORT_SETS;
+            let mut hot: Vec<FlowKey> =
+                (0..REPORT_WAYS).map(|_| key_in(&mut rng, |set| set == quiet)).collect();
+            hot.extend((0..crowded_hot).map(|_| key_in(&mut rng, |set| set == crowded)));
+            let mut cold: Vec<FlowKey> = (0..2 * REPORT_SETS * REPORT_WAYS)
+                .map(|_| key_in(&mut rng, |set| set != quiet))
+                .collect();
+            cold.extend((0..2 * REPORT_WAYS).map(|_| key_in(&mut rng, |set| set == crowded)));
+
+            let mut table = ReportTable::new();
+            let mut reports: HashMap<FlowKey, Vec<bool>> = HashMap::new();
+            for _ in 0..len {
+                let flow = if rng.gen_bool(0.5) {
+                    hot[rng.gen_range(0..hot.len())]
+                } else {
+                    cold[rng.gen_range(0..cold.len())]
+                };
+                reports.entry(flow).or_default().push(table.should_report(flow));
+            }
+
+            for (flow, reported) in &reports {
+                prop_assert!(reported[0], "first detection of {:?} unreported", flow);
+                let longest_silence = reported
+                    .split(|&r| r)
+                    .map(|run| run.len())
+                    .max()
+                    .unwrap_or(0);
+                prop_assert!(
+                    longest_silence < REPORT_PERIOD as usize,
+                    "{:?} went {} detections without a report", flow, longest_silence
+                );
+            }
+            for flow in &hot[..REPORT_WAYS] {
+                let reported = &reports[flow];
+                let at: Vec<usize> = (1..=reported.len()).filter(|&n| reported[n - 1]).collect();
+                let schedule: Vec<usize> = [1, 2, 4, 8, 16, 32]
+                    .into_iter()
+                    .chain((1..).map(|k| k * 64))
+                    .take_while(|&n| n <= reported.len())
+                    .collect();
+                prop_assert_eq!(at, schedule);
             }
         }
     }

@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 use rand::Rng;
+use std::collections::HashSet;
 use std::time::Duration;
 use unroller_control::{Controller, FlakyHealer, HealPolicy};
 use unroller_engine::aggregate::{aggregate, deliver};
@@ -80,6 +81,43 @@ fn seeded_fault_run_completes_detects_and_accounts() {
     for key in ["restarts", "panic_lost", "bitflips_injected", "fault_plan"] {
         assert!(rendered.contains(key), "missing {key} in JSON");
     }
+}
+
+/// Loop-event loss at 8× the committed fault sweep's rate, with no
+/// other fault: shards re-report a trapped flow on a back-off
+/// schedule, so a dropped report is repaired by a later one and every
+/// looping flow still reaches the aggregator.
+#[test]
+fn heavy_event_loss_still_reports_every_looping_flow() {
+    let plan = FaultPlan {
+        seed: 17,
+        event_drop_rate: 0.4,
+        ..FaultPlan::default()
+    };
+    let engine = Engine::new(
+        EngineConfig {
+            shards: 2,
+            full_policy: FullPolicy::Block,
+            faults: plan,
+            ..EngineConfig::default()
+        },
+        &ids(32),
+    )
+    .unwrap();
+    // 16 flows, every 2nd loops from the first packet.
+    let mut source = SyntheticSource::new(32, 16, 20_000, 2, 0, 23);
+    let looping: HashSet<FlowKey> = source.looping_flow_keys().into_iter().collect();
+    assert_eq!(looping.len(), 8);
+    let report = engine.run(&mut source).expect("lossy run completes");
+    let dropped: u64 = report
+        .shard_snapshots
+        .iter()
+        .map(|s| s.events_dropped_injected)
+        .sum();
+    assert!(dropped > 0, "event drops fired");
+    assert!(report.events_accounted(), "{report:?}");
+    let detected: HashSet<FlowKey> = report.aggregator.events.iter().map(|e| e.flow).collect();
+    assert_eq!(detected, looping, "recall 1.0 despite the loss");
 }
 
 /// Injected ring stalls end to end: the watchdog notices the stalled

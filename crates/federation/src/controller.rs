@@ -13,7 +13,7 @@
 //! * **Per-peer retry** — every digest send is tracked until acked;
 //!   retransmits back off exponentially with a bounded attempt budget
 //!   and virtual timeout, reusing the exact
-//!   [`HealPolicy`](unroller_control::HealPolicy) shape (1 step ≡
+//!   [`HealPolicy`] shape (1 step ≡
 //!   [`STEP_NS`] virtual nanoseconds).
 //! * **Degraded mode** — a peer that exhausts its retry budget is
 //!   marked unreachable; sends to it are skipped (counted) instead of

@@ -538,7 +538,9 @@ pub fn check_phase_table(input: &CheckInput<'_>, out: &mut Vec<Diagnostic>) {
 // --- Pass 5: resource accounting --------------------------------------
 
 /// Register bits, table count and header bits derived from the IR must
-/// equal the model's [`ResourceReport`] for the same parameters.
+/// equal the model's
+/// [`ResourceReport`](unroller_dataplane::resources::ResourceReport)
+/// for the same parameters.
 pub fn check_resource_accounting(input: &CheckInput<'_>, out: &mut Vec<Diagnostic>) {
     const PASS: &str = "resource-accounting";
     let report = match UnrollerPipeline::new(1, *input.params) {
