@@ -3,11 +3,11 @@
 //! ~190 Mpps on Intel FPGAs, i.e. > 100 Gbps for minimum-sized frames).
 //!
 //! `header_only` measures the control block alone (the work the
-//! synthesized logic does); `full_frame` adds parse + deparse of the
-//! bit-packed shim, in both its allocating (decode → struct → encode)
-//! and zero-copy in-place forms. Criterion reports ns/packet — invert
-//! for Mpps. `benches/hotpath.rs` measures the same three paths into
-//! the machine-readable `results/BENCH_hotpath.json`.
+//! synthesized logic does); `full_frame` adds the frame around it: one
+//! switch's validate → decode → control block → encode of the
+//! bit-packed shim. Criterion reports ns/packet — invert for Mpps.
+//! `benches/hotpath.rs` measures the same paths, plus multi-hop walks,
+//! into the machine-readable `results/BENCH_hotpath.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use unroller_core::params::UnrollerParams;
@@ -59,20 +59,6 @@ fn bench_full_frame(c: &mut Criterion) {
     let pipes: Vec<UnrollerPipeline> = (0..16u32)
         .map(|i| UnrollerPipeline::new(0x2000 + i, params).unwrap())
         .collect();
-    let mut frame = template.clone();
-    let mut i = 0usize;
-    group.bench_function("min_sized_frame", |b| {
-        b.iter(|| {
-            if i.is_multiple_of(64) {
-                frame.copy_from_slice(&template);
-            }
-            let v = pipes[i % pipes.len()]
-                .process_frame(black_box(&mut frame))
-                .unwrap();
-            i += 1;
-            black_box(v)
-        })
-    });
     let mut frame = template.clone();
     let mut i = 0usize;
     group.bench_function("min_sized_frame_in_place", |b| {

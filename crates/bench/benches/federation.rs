@@ -73,7 +73,7 @@ fn run_level(mult: f64, seeds: &[u64], quick: bool) -> Level {
             faults,
             max_steps: 2_048,
         };
-        let outcome = run_scenario(&cfg);
+        let outcome = run_scenario(&cfg).expect("valid scenario");
         assert!(
             outcome.engine.loop_detected(),
             "seed {seed}: traffic must hit the injected loop"

@@ -103,14 +103,14 @@ impl std::error::Error for BitReadError {}
 
 /// Reads `width` bits starting at absolute bit position `pos`
 /// (MSB first), without any cursor state — the random-access primitive
-/// the in-place frame path is built on.
+/// the shim's decode and encode over a frame are built on.
 ///
 /// # Panics
 ///
-/// Panics if `width > 64` or the read runs past the end of `buf`. The
-/// in-place pipeline validates the frame length once up front, so
-/// per-field reads are in bounds by construction; a violation here is
-/// a caller bug, not a malformed packet.
+/// Panics if `width > 64` or the read runs past the end of `buf`. A
+/// frame is validated once, when its `ShimView` is built, so per-field
+/// reads are in bounds by construction; a violation here is a caller
+/// bug, not a malformed packet.
 #[inline]
 pub fn read_bits_at(buf: &[u8], pos: usize, width: u32) -> u64 {
     assert!(width <= 64);

@@ -64,7 +64,7 @@ impl HeaderLayout {
 
     /// Reads `Xcnt` straight off a shim buffer (0 when TTL-inferred).
     #[inline]
-    pub fn read_xcnt(&self, shim: &[u8]) -> u8 {
+    pub(crate) fn read_xcnt(&self, shim: &[u8]) -> u8 {
         if self.xcnt_bits == 0 {
             return 0;
         }
@@ -73,7 +73,7 @@ impl HeaderLayout {
 
     /// Writes `Xcnt` in place (no-op when TTL-inferred).
     #[inline]
-    pub fn write_xcnt(&self, shim: &mut [u8], xcnt: u8) {
+    pub(crate) fn write_xcnt(&self, shim: &mut [u8], xcnt: u8) {
         if self.xcnt_bits == 0 {
             return;
         }
@@ -82,33 +82,33 @@ impl HeaderLayout {
 
     /// Reads `Thcnt` straight off a shim buffer.
     #[inline]
-    pub fn read_thcnt(&self, shim: &[u8]) -> u32 {
+    pub(crate) fn read_thcnt(&self, shim: &[u8]) -> u32 {
         read_bits_at(shim, self.thcnt_pos(), self.thcnt_bits) as u32
     }
 
     /// Writes `Thcnt` in place.
     #[inline]
-    pub fn write_thcnt(&self, shim: &mut [u8], thcnt: u32) {
+    pub(crate) fn write_thcnt(&self, shim: &mut [u8], thcnt: u32) {
         write_bits_at(shim, self.thcnt_pos(), self.thcnt_bits, thcnt as u64);
     }
 
     /// Reads identifier slot `slot` straight off a shim buffer.
     #[inline]
-    pub fn read_swid(&self, shim: &[u8], slot: u32) -> u32 {
+    pub(crate) fn read_swid(&self, shim: &[u8], slot: u32) -> u32 {
         read_bits_at(shim, self.swid_pos(slot), self.z) as u32
     }
 
     /// Writes identifier slot `slot` in place.
     #[inline]
-    pub fn write_swid(&self, shim: &mut [u8], slot: u32, id: u32) {
+    pub(crate) fn write_swid(&self, shim: &mut [u8], slot: u32, id: u32) {
         write_bits_at(shim, self.swid_pos(slot), self.z, id as u64);
     }
 
-    /// Zeroes the padding bits in the final shim byte so in-place
-    /// rewrites stay bit-exact with [`WireHeader::encode`], which always
-    /// emits zero padding.
+    /// Zeroes the padding bits in the final shim byte so
+    /// [`WireHeader::encode_into`] stays bit-exact with
+    /// [`WireHeader::encode`], which always emits zero padding.
     #[inline]
-    pub fn clear_padding(&self, shim: &mut [u8]) {
+    pub(crate) fn clear_padding(&self, shim: &mut [u8]) {
         let pad = self.total_bytes() * 8 - self.total_bits() as usize;
         if pad > 0 {
             shim[self.total_bytes() - 1] &= !((1u8 << pad) - 1);

@@ -3,13 +3,13 @@
 //! A P4-like programmable-dataplane model of Unroller (paper §4): the
 //! same algorithm as `unroller-core`, but implemented the way a switch
 //! pipeline must — a bit-packed wire header, per-switch registers with
-//! pre-hashed identifiers, a 256-entry phase lookup table indexed by the
-//! 8-bit hop counter, and a dummy match-action table dispatching the
-//! apply action (the P4-To-VHDL constraint).
+//! pre-hashed identifiers, and a 256-entry phase lookup table indexed by
+//! the 8-bit hop counter.
 //!
 //! * [`bitio`] — MSB-first bit-granular serialization.
 //! * [`header`] — the Table 3 shim layout ([`header::WireHeader`]).
-//! * [`parser`] — Ethernet framing: parse / deparse of the shim.
+//! * [`parser`] — Ethernet framing: the header, the EtherType and the
+//!   frame builder.
 //! * [`pipeline`] — the ingress control block
 //!   ([`pipeline::UnrollerPipeline`]), bit-exact against the software
 //!   detector, and the validated frame view it runs on

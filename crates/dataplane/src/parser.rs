@@ -2,9 +2,11 @@
 //!
 //! The simulator and examples carry Unroller state in a shim header
 //! between the Ethernet header and the payload, tagged with an
-//! experimental EtherType — the same place an INT shim would sit. The
-//! parser here plays the role of the P4 parser block: extract the shim,
-//! hand it to the control block, and write it back (deparse).
+//! experimental EtherType — the same place an INT shim would sit. This
+//! module is the framing only: the Ethernet header, the EtherType, the
+//! frame builder and the [`FrameError`] a malformed frame gets. The
+//! frame is validated, and the shim decoded and written back, by
+//! [`crate::pipeline::ShimView`].
 //!
 //! ```text
 //! +----------------+------------------+-------------+
@@ -13,7 +15,6 @@
 //! +----------------+------------------+-------------+
 //! ```
 
-use crate::bitio::BitReadError;
 use crate::header::{HeaderLayout, WireHeader};
 
 /// Experimental/private EtherType carrying the Unroller shim.
@@ -91,8 +92,6 @@ pub enum FrameError {
     },
     /// The EtherType does not carry an Unroller shim.
     WrongEthertype(u16),
-    /// The shim failed to decode.
-    Shim(BitReadError),
 }
 
 impl std::fmt::Display for FrameError {
@@ -102,7 +101,6 @@ impl std::fmt::Display for FrameError {
                 write!(f, "frame too short: {len} bytes, need {need}")
             }
             FrameError::WrongEthertype(t) => write!(f, "unexpected ethertype {t:#06x}"),
-            FrameError::Shim(e) => write!(f, "shim decode failed: {e}"),
         }
     }
 }
@@ -122,36 +120,6 @@ pub fn build_frame(
     frame.extend_from_slice(&shim_bytes);
     frame.extend_from_slice(payload);
     frame
-}
-
-/// Parses a frame into Ethernet header, shim, and payload slice.
-pub fn parse_frame<'a>(
-    layout: &HeaderLayout,
-    frame: &'a [u8],
-) -> Result<(EthernetHeader, WireHeader, &'a [u8]), FrameError> {
-    let shim_len = layout.total_bytes();
-    let need = ETH_HEADER_LEN + shim_len;
-    if frame.len() < need {
-        return Err(FrameError::TooShort {
-            len: frame.len(),
-            need,
-        });
-    }
-    let eth = EthernetHeader::decode(frame).expect("length checked");
-    if eth.ethertype != ETHERTYPE_UNROLLER {
-        return Err(FrameError::WrongEthertype(eth.ethertype));
-    }
-    let shim =
-        WireHeader::decode(layout, &frame[ETH_HEADER_LEN..need]).map_err(FrameError::Shim)?;
-    Ok((eth, shim, &frame[need..]))
-}
-
-/// Rewrites the shim in place (the deparser step after the control block
-/// mutated the header).
-pub fn rewrite_shim(layout: &HeaderLayout, frame: &mut [u8], shim: &WireHeader) {
-    let bytes = shim.encode(layout);
-    let start = ETH_HEADER_LEN;
-    frame[start..start + bytes.len()].copy_from_slice(&bytes);
 }
 
 #[cfg(test)]
@@ -174,46 +142,11 @@ mod tests {
         };
         let payload = b"hello, loops";
         let frame = build_frame(&layout, &eth, &shim, payload);
-        let (eth2, shim2, payload2) = parse_frame(&layout, &frame).unwrap();
-        assert_eq!(eth2, eth);
+        assert_eq!(EthernetHeader::decode(&frame), Some(eth));
+        let shim_end = ETH_HEADER_LEN + layout.total_bytes();
+        let shim2 = WireHeader::decode(&layout, &frame[ETH_HEADER_LEN..shim_end]).unwrap();
         assert_eq!(shim2, shim);
-        assert_eq!(payload2, payload);
-    }
-
-    #[test]
-    fn rewrite_updates_in_place() {
-        let layout = layout();
-        let eth = EthernetHeader::for_hosts(1, 2);
-        let mut shim = WireHeader::initial(&layout);
-        let mut frame = build_frame(&layout, &eth, &shim, b"payload");
-        shim.xcnt = 9;
-        shim.swids[0] = 42;
-        rewrite_shim(&layout, &mut frame, &shim);
-        let (_, parsed, payload) = parse_frame(&layout, &frame).unwrap();
-        assert_eq!(parsed, shim);
-        assert_eq!(payload, b"payload");
-    }
-
-    #[test]
-    fn short_frame_rejected() {
-        let layout = layout();
-        assert!(matches!(
-            parse_frame(&layout, &[0u8; 10]),
-            Err(FrameError::TooShort { .. })
-        ));
-    }
-
-    #[test]
-    fn wrong_ethertype_rejected() {
-        let layout = layout();
-        let mut eth = EthernetHeader::for_hosts(1, 2);
-        eth.ethertype = 0x0800; // plain IPv4
-        let shim = WireHeader::initial(&layout);
-        let frame = build_frame(&layout, &eth, &shim, &[]);
-        assert_eq!(
-            parse_frame(&layout, &frame),
-            Err(FrameError::WrongEthertype(0x0800))
-        );
+        assert_eq!(&frame[shim_end..], payload);
     }
 
     #[test]

@@ -13,19 +13,19 @@
 //!   the same information is a single bitwise test — the LUT is built
 //!   from [`PhaseSchedule::is_phase_start`], so the two agree by
 //!   construction).
-//! * Packet manipulation is dispatched through a **dummy match-action
-//!   table** with a single default action ([`MatchActionTable`]),
-//!   mirroring the P4-To-VHDL constraint that actions may only be called
-//!   from tables, not straight from a control block.
 //! * The per-packet work is the fixed sequence of the paper: read
 //!   registers & increment `Xcnt` → hash → compare/update → verdict.
-//!   [`UnrollerPipeline::process_header`] is bit-exact against the
-//!   software detector (`unroller-core`) for hop counts below the 8-bit
-//!   saturation point — the equivalence tests at the bottom check this
-//!   on thousands of random walks.
+//!   [`UnrollerPipeline::process_header`] is the one control block,
+//!   bit-exact against the software detector (`unroller-core`) for hop
+//!   counts below the 8-bit saturation point — the equivalence tests at
+//!   the bottom check this on thousands of random walks.
+//!
+//! The P4-To-VHDL port's dummy match-action table (actions may only be
+//! called from tables) is modelled where it matters: the generated P4
+//! ([`crate::p4gen`]) and the resource report count it.
 
 use crate::header::{HeaderLayout, WireHeader};
-use crate::parser::{parse_frame, rewrite_shim, FrameError, ETHERTYPE_UNROLLER, ETH_HEADER_LEN};
+use crate::parser::{FrameError, ETHERTYPE_UNROLLER, ETH_HEADER_LEN};
 use crate::resources::ResourceReport;
 use unroller_core::hashing::HashFamily;
 use unroller_core::params::{ParamError, UnrollerParams};
@@ -143,37 +143,6 @@ impl PhaseLuts {
     }
 }
 
-/// The dummy match-action table required by the P4-To-VHDL port: a
-/// single entry whose default action processes the packet
-/// unconditionally.
-#[derive(Debug, Clone)]
-pub struct MatchActionTable {
-    name: &'static str,
-    entries: u32,
-}
-
-impl MatchActionTable {
-    fn dummy(name: &'static str) -> Self {
-        MatchActionTable { name, entries: 1 }
-    }
-
-    /// Table name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Number of installed entries (always 1 — the default action).
-    pub fn entries(&self) -> u32 {
-        self.entries
-    }
-
-    /// "Matches" the packet: the default action always fires.
-    #[inline]
-    fn apply<R>(&self, action: impl FnOnce() -> R) -> R {
-        action()
-    }
-}
-
 /// Per-switch register file provisioned by the controller.
 #[derive(Debug, Clone)]
 pub struct SwitchRegisters {
@@ -192,7 +161,6 @@ pub struct UnrollerPipeline {
     layout: HeaderLayout,
     registers: SwitchRegisters,
     luts: PhaseLuts,
-    table: MatchActionTable,
 }
 
 impl UnrollerPipeline {
@@ -225,7 +193,6 @@ impl UnrollerPipeline {
                 prehashed,
             },
             luts: PhaseLuts::build(params.schedule, params.b, params.c),
-            table: MatchActionTable::dummy("tab_unroller_apply"),
             params,
         })
     }
@@ -250,10 +217,6 @@ impl UnrollerPipeline {
     /// the header is left unmodified, and a real switch would drop the
     /// packet and notify the controller.
     pub fn process_header(&self, hdr: &mut WireHeader) -> Verdict {
-        self.table.apply(|| self.apply_action(hdr))
-    }
-
-    fn apply_action(&self, hdr: &mut WireHeader) -> Verdict {
         let p = &self.params;
         let (h, c) = (p.h as usize, p.c as usize);
         debug_assert_eq!(hdr.swids.len(), h * c, "shim sized for wrong params");
@@ -262,7 +225,7 @@ impl UnrollerPipeline {
         // increment — past 255 hops the packet's TTL has long expired;
         // saturating avoids a bogus phase restart on wrap-around). No
         // field is written yet: on LoopReported the header comes out as
-        // it went in, exactly like the in-place kernel's frame.
+        // it went in, so a walk may write it back after a report.
         let prev = hdr.xcnt;
         let saturated = prev == u8::MAX;
         let x = if saturated { prev } else { prev + 1 };
@@ -318,89 +281,28 @@ impl UnrollerPipeline {
         self.process_header(hdr)
     }
 
-    /// Full data-path processing of an Ethernet frame carrying the shim:
-    /// parse → control block → deparse (in place). On
-    /// [`Verdict::LoopReported`] the frame is left unmodified — the
-    /// switch would drop it and punt a report to the controller.
-    pub fn process_frame(&self, frame: &mut [u8]) -> Result<Verdict, FrameError> {
-        let (_eth, mut shim, _payload) = parse_frame(&self.layout, frame)?;
-        let verdict = self.process_header(&mut shim);
+    /// One switch's data-path processing of an Ethernet frame carrying
+    /// the shim: a walk of one hop. The frame is validated through a
+    /// [`ShimView`], the shim decoded, [`Self::process_header`] run, and
+    /// the shim encoded back on [`Verdict::Continue`] (padding zeroed).
+    /// On [`Verdict::LoopReported`] or an error the frame is left
+    /// untouched — the switch would drop it and punt a report to the
+    /// controller.
+    ///
+    /// Each call allocates the decoded header's slots; a multi-hop walk
+    /// decodes once and runs [`Self::process_header`] at every hop
+    /// instead (see [`ShimView`]). Under a TTL-inferred layout the frame
+    /// carries no hop count, so every call runs as the packet's first
+    /// hop.
+    pub fn process_frame_in_place(&self, frame: &mut [u8]) -> Result<Verdict, FrameError> {
+        let mut view = ShimView::new(&self.layout, frame)?;
+        let mut hdr = WireHeader::initial(&self.layout);
+        view.decode_into(&mut hdr);
+        let verdict = self.process_header(&mut hdr);
         if verdict == Verdict::Continue {
-            rewrite_shim(&self.layout, frame, &shim);
+            view.encode_from(&hdr);
         }
         Ok(verdict)
-    }
-
-    /// Zero-copy data-path processing: the control block reads and
-    /// rewrites shim bits **directly in the frame buffer**, with no
-    /// header decode, no struct, and no per-hop allocation. Bit-exact
-    /// with [`UnrollerPipeline::process_frame`] (property-tested in
-    /// `tests/frame_inplace.rs`): on [`Verdict::Continue`] the rewritten
-    /// frame is byte-identical to what decode → [`Self::process_header`]
-    /// → re-encode would produce, and on [`Verdict::LoopReported`] the
-    /// frame is left untouched.
-    ///
-    /// The frame is validated through a [`ShimView`], whose field
-    /// accesses span the bytes after the shim too. Under a TTL-inferred
-    /// layout the frame carries no hop count, so every call runs as the
-    /// packet's first hop; a multi-hop walk keeps the count in a decoded
-    /// [`WireHeader`] instead (see [`ShimView`]).
-    pub fn process_frame_in_place(&self, frame: &mut [u8]) -> Result<Verdict, FrameError> {
-        let view = ShimView::new(&self.layout, frame)?;
-        Ok(self.table.apply(|| self.apply_action_in_place(view.bytes)))
-    }
-
-    fn apply_action_in_place(&self, shim: &mut [u8]) -> Verdict {
-        let p = &self.params;
-        let c = p.c as usize;
-        let layout = &self.layout;
-
-        // Stage 1: read the hop counter off the wire (saturating
-        // increment, mirroring `apply_action`). No bits are written yet:
-        // on LoopReported the frame must come out byte-identical to how
-        // it went in, exactly like `process_frame`.
-        let prev = layout.read_xcnt(shim);
-        let saturated = prev == u8::MAX;
-        let x = if saturated { prev } else { prev + 1 } as usize;
-
-        // Stage 2: compare the pre-hashed identifiers against every
-        // valid stored slot, straight off the frame bytes.
-        let occ = self.luts.occupied[prev as usize];
-        let mut matched = false;
-        'outer: for (i, &hv) in self.registers.prehashed.iter().enumerate() {
-            for j in 0..c {
-                if occ & (1 << j) != 0 && layout.read_swid(shim, (i * c + j) as u32) == hv {
-                    matched = true;
-                    break 'outer;
-                }
-            }
-        }
-        let mut thcnt = 0;
-        if matched {
-            thcnt = layout.read_thcnt(shim) + 1;
-            if thcnt >= p.th {
-                return Verdict::LoopReported;
-            }
-        }
-
-        // Continue: deparse every mutated field back into the buffer.
-        layout.write_xcnt(shim, x as u8);
-        if matched {
-            layout.write_thcnt(shim, thcnt);
-        }
-        let j = self.luts.chunk[x] as usize;
-        let fresh = !saturated && self.luts.fresh[x];
-        let was_occupied = occ & (1 << j) != 0;
-        for (i, &hv) in self.registers.prehashed.iter().enumerate() {
-            let slot = (i * c + j) as u32;
-            if fresh || !was_occupied || hv < layout.read_swid(shim, slot) {
-                layout.write_swid(shim, slot, hv);
-            }
-        }
-        // encode() always emits zero padding; match it so the two frame
-        // paths stay bit-exact even on adversarial input padding.
-        layout.clear_padding(shim);
-        Verdict::Continue
     }
 
     /// The resource footprint of this pipeline (the Table 4 substitute;
@@ -423,7 +325,8 @@ impl UnrollerPipeline {
             ),
             pipeline_stages: 2,
             register_bits: 32 + 32 * p.h as u64 + self.luts.bits(p.c),
-            table_entries: self.table.entries() + 256,
+            // The dummy table's one default entry, plus the LUT.
+            table_entries: 1 + 256,
             header_bits: self.layout.total_bits(),
             p4_register_bits: (p.z * p.h) as u64 + p4_lut_bits,
             p4_tables: 1,
@@ -438,6 +341,7 @@ impl UnrollerPipeline {
 mod tests {
     use super::*;
     use crate::parser::{build_frame, EthernetHeader};
+    use proptest::prelude::*;
     use rand::Rng;
     use unroller_core::{InPacketDetector, Unroller};
 
@@ -518,12 +422,10 @@ mod tests {
         // Ping-pong between switches 100 and 200.
         let s100 = UnrollerPipeline::new(100, params).unwrap();
         let s200 = UnrollerPipeline::new(200, params).unwrap();
-        assert_eq!(s100.process_frame(&mut frame).unwrap(), Verdict::Continue);
-        assert_eq!(s200.process_frame(&mut frame).unwrap(), Verdict::Continue);
-        assert_eq!(
-            s100.process_frame(&mut frame).unwrap(),
-            Verdict::LoopReported
-        );
+        let mut hop = |pipe: &UnrollerPipeline| pipe.process_frame_in_place(&mut frame).unwrap();
+        assert_eq!(hop(&s100), Verdict::Continue);
+        assert_eq!(hop(&s200), Verdict::Continue);
+        assert_eq!(hop(&s100), Verdict::LoopReported);
     }
 
     #[test]
@@ -533,9 +435,8 @@ mod tests {
         let eth = EthernetHeader::for_hosts(1, 2);
         let mut frame = build_frame(&layout, &eth, &WireHeader::initial(&layout), b"payload!");
         let pipe = UnrollerPipeline::new(7, params).unwrap();
-        pipe.process_frame(&mut frame).unwrap();
-        let (_, _, payload) = parse_frame(&layout, &frame).unwrap();
-        assert_eq!(payload, b"payload!");
+        pipe.process_frame_in_place(&mut frame).unwrap();
+        assert_eq!(&frame[ETH_HEADER_LEN + layout.total_bytes()..], b"payload!");
     }
 
     #[test]
@@ -559,42 +460,40 @@ mod tests {
         assert_eq!(hdr2.swids[0], 1, "min must survive while saturated");
     }
 
-    #[test]
-    fn in_place_matches_frame_path_on_random_walks() {
-        // The zero-copy path must produce byte-identical frames and
-        // identical verdicts to the decode/encode frame path, hop by
-        // hop, across parameter space (incl. multi-chunk, multi-hash,
-        // non-power-of-two bases and th=1's zero-width Thcnt).
-        let mut rng = unroller_core::test_rng(79);
-        for params in [
-            UnrollerParams::default(),
-            UnrollerParams::default().with_z(7).with_th(4),
-            UnrollerParams::default().with_c(2).with_h(2).with_z(12),
-            UnrollerParams::default().with_b(3).with_th(2),
-            UnrollerParams::default().with_c(4).with_h(1).with_z(9),
-        ] {
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The control block decides its verdict before writing: on
+        /// `LoopReported` the header equals its input, so a walk that
+        /// ends in a report at hop > 1 may encode it back unchanged.
+        /// Random parameters, starting headers (any `Xcnt`, any `Thcnt`
+        /// its width holds, any `z`-bit IDs) and walks that revisit a
+        /// handful of switches.
+        #[test]
+        fn report_leaves_the_header_as_it_came(
+            b in 2u32..=9,
+            z in 1u32..=32,
+            c in 1u32..=4,
+            h in 1u32..=4,
+            th in 1u32..=8,
+            xcnt in any::<u8>(),
+            thcnt in any::<u32>(),
+            swids in prop::collection::vec(any::<u32>(), 16),
+            hops in prop::collection::vec(0u32..6, 1..40),
+        ) {
+            let params = UnrollerParams::default().with_b(b).with_z(z).with_c(c).with_h(h).with_th(th);
             let layout = HeaderLayout::from_params(&params);
-            for _ in 0..20 {
-                let b = rng.gen_range(0..6);
-                let l = rng.gen_range(1..10);
-                let walk = unroller_core::Walk::random(b, l, &mut rng);
-                let eth = EthernetHeader::for_hosts(1, 2);
-                let shim = WireHeader::initial(&layout);
-                let mut frame_a = build_frame(&layout, &eth, &shim, b"equivalence");
-                let mut frame_b = frame_a.clone();
-                for hop in 1..=200u64 {
-                    let Some(sw) = walk.switch_at(hop) else { break };
-                    let pipe = UnrollerPipeline::new(sw, params).unwrap();
-                    let va = pipe.process_frame(&mut frame_a).unwrap();
-                    let vb = pipe.process_frame_in_place(&mut frame_b).unwrap();
-                    assert_eq!(va, vb, "verdict diverged at hop {hop} for {params:?}");
-                    assert_eq!(
-                        frame_a, frame_b,
-                        "bytes diverged at hop {hop} for {params:?}"
-                    );
-                    if va.reported() {
-                        break;
-                    }
+            let mut hdr = WireHeader {
+                xcnt,
+                thcnt: thcnt & ((1u64 << layout.thcnt_bits) - 1) as u32,
+                swids: swids[..layout.slots as usize].iter().map(|&id| id & params.z_mask()).collect(),
+            };
+            for &hop in &hops {
+                let before = hdr.clone();
+                let pipe = UnrollerPipeline::new(100 + hop, params).unwrap();
+                if pipe.process_header(&mut hdr) == Verdict::LoopReported {
+                    prop_assert_eq!(&hdr, &before, "report at switch {} wrote the header", 100 + hop);
+                    break;
                 }
             }
         }

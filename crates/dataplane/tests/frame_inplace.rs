@@ -1,15 +1,17 @@
-//! Property-based equivalence tests for the zero-copy frame path:
-//! [`UnrollerPipeline::process_frame_in_place`] must be bit-exact with
-//! the reference decode → [`UnrollerPipeline::process_header`] →
-//! re-encode path for every layout the parameter space can produce,
-//! every starting shim state, and every hop sequence — and malformed
-//! frames must error without touching a byte.
+//! Property-based equivalence tests for the per-switch frame op:
+//! [`UnrollerPipeline::process_frame_in_place`] (a one-hop walk over the
+//! frame's offset accessors) must be bit-exact with the reference
+//! [`WireHeader::decode`] → [`UnrollerPipeline::process_header`] →
+//! [`WireHeader::encode`] path, built on the independent cursor codec,
+//! for every layout the parameter space can produce, every starting
+//! shim state, and every hop sequence — and malformed frames must error
+//! without touching a byte.
 
 use proptest::prelude::*;
 use unroller_core::params::UnrollerParams;
 use unroller_core::Verdict;
 use unroller_dataplane::header::{HeaderLayout, WireHeader};
-use unroller_dataplane::parser::{build_frame, parse_frame};
+use unroller_dataplane::parser::build_frame;
 use unroller_dataplane::{EthernetHeader, FrameError, UnrollerPipeline, ETH_HEADER_LEN};
 
 /// A random-but-valid wire header for `layout`: `xcnt` only when the
@@ -25,21 +27,19 @@ fn random_shim(layout: &HeaderLayout, p: &UnrollerParams, seed: u64) -> WireHead
     }
 }
 
-/// The reference hot path: parse the shim out of the frame, run the
-/// struct-based control block, splice the re-encoded shim back in on
-/// `Continue` (on `LoopReported` the switch drops the frame unchanged).
-fn reference_hop(
-    pipeline: &UnrollerPipeline,
-    layout: &HeaderLayout,
-    frame: &mut [u8],
-) -> Result<Verdict, FrameError> {
-    let (_eth, mut shim, _payload) = parse_frame(layout, frame)?;
+/// The reference hop on a well-formed frame: decode the shim with the
+/// cursor codec, run the control block, splice the re-encoded shim back
+/// in on `Continue` (on `LoopReported` the switch drops the frame
+/// unchanged). A TTL-inferred shim decodes `Xcnt` as 0, so every call is
+/// a first hop, as it is for `process_frame_in_place`.
+fn reference_hop(pipeline: &UnrollerPipeline, layout: &HeaderLayout, frame: &mut [u8]) -> Verdict {
+    let mut shim = WireHeader::decode(layout, &frame[ETH_HEADER_LEN..]).expect("well-formed frame");
     let verdict = pipeline.process_header(&mut shim);
     if verdict == Verdict::Continue {
         let bytes = shim.encode(layout);
         frame[ETH_HEADER_LEN..ETH_HEADER_LEN + bytes.len()].copy_from_slice(&bytes);
     }
-    Ok(verdict)
+    verdict
 }
 
 proptest! {
@@ -73,7 +73,7 @@ proptest! {
         for &hop in &hops {
             let pipeline = UnrollerPipeline::new(100 + hop, p).unwrap();
             let got = pipeline.process_frame_in_place(&mut in_place);
-            let want = reference_hop(&pipeline, &layout, &mut reference);
+            let want = Ok(reference_hop(&pipeline, &layout, &mut reference));
             prop_assert_eq!(&got, &want, "verdict diverged at switch {}", 100 + hop);
             prop_assert_eq!(&in_place, &reference, "bytes diverged at switch {}", 100 + hop);
             let tail = &in_place[ETH_HEADER_LEN + layout.total_bytes()..];
@@ -113,7 +113,7 @@ proptest! {
         for &hop in &hops {
             let pipeline = UnrollerPipeline::new(100 + hop, p).unwrap();
             let got = pipeline.process_frame_in_place(&mut in_place);
-            let want = reference_hop(&pipeline, &layout, &mut reference);
+            let want = Ok(reference_hop(&pipeline, &layout, &mut reference));
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(&in_place, &reference);
             if got == Ok(Verdict::LoopReported) {

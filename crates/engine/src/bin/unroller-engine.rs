@@ -44,7 +44,6 @@ struct Options {
     watchdog_ms: Option<u64>,
     replay: Option<String>,
     capture: Option<String>,
-    pin: bool,
     oracle: bool,
     events_out: Option<String>,
     epoch: u64,
@@ -76,7 +75,6 @@ impl Default for Options {
             watchdog_ms: None,
             replay: None,
             capture: None,
-            pin: false,
             oracle: false,
             events_out: None,
             epoch: 0,
@@ -123,10 +121,6 @@ fn usage() -> ! {
                              a shard's ring saturates (counted)\n\
            --watchdog-ms N   poll shard progress every N ms and kick\n\
                              stalled shards\n\
-           --pin             pin each worker shard to a CPU core\n\
-                             (round-robin over available cores; the\n\
-                             chosen core is recorded per shard in the\n\
-                             JSON report)\n\
            --replay FILE     replay a classic pcap capture instead of\n\
                              generating traffic: frames are attributed\n\
                              to flows by their Unroller MAC convention\n\
@@ -211,7 +205,13 @@ fn parse_args() -> Options {
             "--batch" => opts.batch = num("--batch", value("--batch")),
             "--ring" => opts.ring = num("--ring", value("--ring")),
             "--topology" => opts.topology = value("--topology"),
-            "--flows" => opts.flows = num("--flows", value("--flows")),
+            "--flows" => {
+                opts.flows = num("--flows", value("--flows"));
+                if opts.flows == 0 {
+                    eprintln!("unroller-engine: --flows must be >= 1");
+                    std::process::exit(2);
+                }
+            }
             "--loop-at" => explicit_loop_at = Some(num("--loop-at", value("--loop-at"))),
             "--no-loop" => no_loop = true,
             "--ttl" => opts.ttl = num("--ttl", value("--ttl")),
@@ -257,7 +257,6 @@ fn parse_args() -> Options {
                 opts.memo = true;
             }
             "--shed" => opts.shed = true,
-            "--pin" => opts.pin = true,
             "--watchdog-ms" => {
                 opts.watchdog_ms = Some(num("--watchdog-ms", value("--watchdog-ms")))
             }
@@ -527,7 +526,6 @@ fn main() {
         faults: opts.faults.clone(),
         shed: opts.shed,
         watchdog: opts.watchdog_ms.map(Duration::from_millis),
-        pin_cores: opts.pin,
         memo: opts.memo.then_some(MemoConfig {
             sample_every: opts.memo_sample,
         }),

@@ -82,12 +82,6 @@ pub struct EngineConfig {
     /// — the controller's degraded-mode answer to a loop it failed to
     /// heal.
     pub quarantine: Vec<FlowKey>,
-    /// Pin each shard's worker thread to a CPU core (`shard % cpus`,
-    /// via `sched_setaffinity`; Linux only, no-op elsewhere). Off by
-    /// default: pinning helps on dedicated cores and hurts on
-    /// oversubscribed ones. Which core each shard landed on is
-    /// recorded per shard in the metrics JSON (`pinned_core`).
-    pub pin_cores: bool,
     /// When set, the aggregator streams every deduplicated loop event
     /// to a JSONL log *during* the run (one flush per record), so runs
     /// that die mid-flight — supervised worker restarts, injected
@@ -124,7 +118,6 @@ impl Default for EngineConfig {
             shed: false,
             watchdog: None,
             quarantine: Vec::new(),
-            pin_cores: false,
             events_log: None,
             memo: None,
         }
@@ -224,9 +217,6 @@ pub struct EngineReport {
     pub watchdog_panic: Option<String>,
     /// The fault plan the run executed (inactive by default).
     pub faults: FaultPlan,
-    /// Whether shard-to-core pinning was requested for this run (the
-    /// per-shard `pinned_core` metric records where each shard landed).
-    pub pin_cores: bool,
     /// Event records streamed to the JSONL log (`None` when no log was
     /// configured).
     pub events_logged: Option<u64>,
@@ -367,7 +357,6 @@ impl EngineReport {
         obj.set("quarantined", Json::UInt(self.quarantined));
         obj.set("panic_lost", Json::UInt(self.panic_lost()));
         obj.set("restarts", Json::UInt(self.restarts()));
-        obj.set("pin_cores", Json::Bool(self.pin_cores));
         obj.set("wall_ns", Json::UInt(self.wall_ns));
         obj.set("wall_pps", Json::Float(self.wall_pps()));
         obj.set(
@@ -553,7 +542,6 @@ impl Engine {
                         EventFaults::inactive()
                     },
                     kick: kicks[shard].clone(),
-                    pin_core: self.cfg.pin_cores.then_some(shard % cpus),
                     memo: self.cfg.memo,
                 };
                 scope.spawn(move || worker.run());
@@ -717,7 +705,6 @@ impl Engine {
             watchdog,
             watchdog_panic,
             faults: self.cfg.faults.clone(),
-            pin_cores: self.cfg.pin_cores,
             events_logged,
             event_log_error,
             memo_enabled: self.cfg.memo.is_some(),
@@ -853,40 +840,10 @@ mod tests {
             "shed",
             "quarantined",
             "watchdog",
-            "pin_cores",
-            "pinned_core",
             "memo",
             "sampled_walks",
         ] {
             assert!(rendered.contains(key), "missing {key}");
-        }
-    }
-
-    #[test]
-    fn pinned_run_records_cores_and_still_accounts() {
-        let engine = Engine::new(
-            EngineConfig {
-                shards: 2,
-                full_policy: FullPolicy::Block,
-                pin_cores: true,
-                ..EngineConfig::default()
-            },
-            &ids(64),
-        )
-        .unwrap();
-        let mut source = SyntheticSource::new(64, 8, 1_000, 0, 0, 21);
-        let report = engine.run(&mut source).expect("fault-free run");
-        assert!(report.pin_cores);
-        assert!(report.accounted(), "{report:?}");
-        assert_eq!(report.processed(), 1_000);
-        if cfg!(target_os = "linux") {
-            for (shard, snap) in report.shard_snapshots.iter().enumerate() {
-                assert_eq!(
-                    snap.pinned_core,
-                    Some((shard % report.cpus) as u64),
-                    "shard {shard} pinned round-robin"
-                );
-            }
         }
     }
 

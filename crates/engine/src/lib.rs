@@ -44,13 +44,9 @@
 //! assert!(report.accounted());
 //! ```
 
-// deny (not forbid) so the one audited exception — the
-// `sched_setaffinity` binding in [`affinity`] — can opt in with an
-// explicit `#[allow]`; everything else stays safe Rust.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod aggregate;
 pub mod churn;
 pub mod engine;

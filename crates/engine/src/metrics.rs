@@ -197,10 +197,6 @@ pub struct ShardMetrics {
     /// Loop-event sends that failed because the aggregator was gone
     /// (tolerated, not panicked on).
     pub events_send_failed: AtomicU64,
-    /// CPU core this shard's worker pinned itself to, stored as
-    /// `core + 1` (0 means not pinned — pinning off, unsupported OS, or
-    /// `sched_setaffinity` refused).
-    pub pinned_core: AtomicU64,
     /// Route-table generation swaps this shard observed (reader
     /// refreshes that actually moved generations).
     pub route_swaps_observed: AtomicU64,
@@ -277,8 +273,6 @@ pub struct ShardSnapshot {
     pub events_duplicated_injected: u64,
     /// Loop-event sends that failed post-aggregator-teardown.
     pub events_send_failed: u64,
-    /// CPU core the worker pinned itself to; `None` when unpinned.
-    pub pinned_core: Option<u64>,
     /// Route-table generation swaps observed.
     pub route_swaps_observed: u64,
     /// Loop detections against post-startup route generations.
@@ -322,7 +316,6 @@ impl ShardMetrics {
             events_dropped_injected: self.events_dropped_injected.load(Ordering::Relaxed),
             events_duplicated_injected: self.events_duplicated_injected.load(Ordering::Relaxed),
             events_send_failed: self.events_send_failed.load(Ordering::Relaxed),
-            pinned_core: self.pinned_core.load(Ordering::Relaxed).checked_sub(1),
             route_swaps_observed: self.route_swaps_observed.load(Ordering::Relaxed),
             loops_after_swap: self.loops_after_swap.load(Ordering::Relaxed),
             detect_latency_ns: self.detect_latency_ns.snapshot(),
@@ -373,11 +366,6 @@ impl ShardSnapshot {
         obj.set("route_errors", Json::UInt(self.route_errors));
         obj.set("frame_errors", Json::UInt(self.frame_errors));
         obj.set("cpu_ns", Json::UInt(self.cpu_ns));
-        let pinned = match self.pinned_core {
-            Some(core) => Json::UInt(core),
-            None => Json::Null,
-        };
-        obj.set("pinned_core", pinned);
         obj.set("capacity_pps", Json::Float(self.capacity_pps()));
         obj.set("batch_size", self.batch_sizes.to_json());
         obj.set("wait_ns", self.wait_ns.to_json());

@@ -17,16 +17,17 @@
 //! and writes the shim back into the frame once when the walk ends.
 //! When no hop continued (a first-hop report) nothing is written, so
 //! the frame leaves exactly as it arrived. The final bytes are those of
-//! [`UnrollerPipeline::process_frame_in_place`] run at every hop
-//! (property-tested below), and no walk allocates. Generated packets
-//! share one shard-owned scratch frame (only its shim bytes are
-//! re-zeroed per packet); packets replayed from a capture carry their
-//! own recorded bytes and are processed in them, shim state and all.
-//! Under a TTL-inferred layout (`xcnt_in_header = false`) the shim
-//! carries no hop count: the decoded `xcnt` starts at 0 and counts the
-//! walk's own hops, as a switch would infer them from the TTL (paper
-//! footnote 3). A carried frame therefore starts counting at its first
-//! replayed hop.
+//! a whole frame operation at every hop — validate, decode with
+//! [`WireHeader::decode`], run the control block, encode with
+//! [`WireHeader::encode`] (property-tested below) — and no walk
+//! allocates. Generated packets share one shard-owned scratch frame
+//! (only its shim bytes are re-zeroed per packet); packets replayed
+//! from a capture carry their own recorded bytes and are processed in
+//! them, shim state and all. Under a TTL-inferred layout
+//! (`xcnt_in_header = false`) the shim carries no hop count: the
+//! decoded `xcnt` starts at 0 and counts the walk's own hops, as a
+//! switch would infer them from the TTL (paper footnote 3). A carried
+//! frame therefore starts counting at its first replayed hop.
 //!
 //! **Interned routes, swappable mid-run.** Packets carry a
 //! [`RouteId`](crate::route::RouteId) into the current route-table
@@ -262,10 +263,6 @@ pub struct ShardWorker {
     /// Watchdog kick flag: set by the watchdog when this shard stops
     /// consuming while its ring holds packets; aborts injected stalls.
     pub kick: Arc<AtomicBool>,
-    /// CPU core to pin this shard's thread to
-    /// ([`EngineConfig::pin_cores`](crate::engine::EngineConfig::pin_cores));
-    /// `None` leaves scheduling to the OS.
-    pub pin_core: Option<usize>,
     /// Per-route verdict memoization for generated traffic; `None`
     /// walks every packet.
     pub memo: Option<MemoConfig>,
@@ -274,13 +271,6 @@ pub struct ShardWorker {
 impl ShardWorker {
     /// Runs until the dispatcher closes the ring. Consumes the worker.
     pub fn run(mut self) {
-        if let Some(core) = self.pin_core {
-            if crate::affinity::pin_to_core(core) {
-                self.metrics
-                    .pinned_core
-                    .store(core as u64 + 1, Ordering::Relaxed);
-            }
-        }
         if self.faults.is_some() {
             install_quiet_panic_hook();
         }
@@ -788,7 +778,6 @@ mod tests {
     use std::collections::HashMap;
     use std::time::Duration;
     use unroller_core::{UnrollerParams, Verdict};
-    use unroller_dataplane::parser::{parse_frame, rewrite_shim};
 
     const RECV_WAIT: Duration = Duration::from_secs(10);
 
@@ -836,7 +825,6 @@ mod tests {
             faults: None,
             event_faults: EventFaults::inactive(),
             kick: Arc::new(AtomicBool::new(false)),
-            pin_core: None,
             memo: None,
         };
         (worker, producer, ev_rx)
@@ -960,23 +948,6 @@ mod tests {
         if thread_cpu_ns().is_some() {
             // Stored (possibly 0 ticks for so little work, but stored).
             let _ = metrics.snapshot().cpu_ns;
-        }
-    }
-
-    #[test]
-    fn pinned_worker_records_its_core() {
-        let (mut worker, producer, _ev_rx) = worker_fixture(4, 64);
-        let route = install_route(&mut worker, PathSpec::linear(vec![0, 1]));
-        worker.pin_core = Some(0); // core 0 always exists
-        let metrics = worker.metrics.clone();
-        producer.push(packet(0, route));
-        drop(producer);
-        worker.run();
-        let snap = metrics.snapshot();
-        if cfg!(target_os = "linux") {
-            assert_eq!(snap.pinned_core, Some(0), "pin to core 0 succeeds");
-        } else {
-            assert_eq!(snap.pinned_core, None, "pinning is Linux-only");
         }
     }
 
@@ -1486,10 +1457,11 @@ mod tests {
 
     /// The per-switch reference for one walk, in the worker's hop order
     /// (route end → unknown node → flip → kernel → TTL), with a whole
-    /// frame operation at every hop. Header layouts run
-    /// `process_frame_in_place`; TTL-inferred layouts decode, run
-    /// `process_header_ttl` with the hops walked so far, and re-encode
-    /// on `Continue`.
+    /// frame operation at every hop: validate the frame with
+    /// `ShimView::new`, decode the shim with the cursor codec
+    /// (`WireHeader::decode`), run `process_header` (`process_header_ttl`
+    /// with the hops walked so far under a TTL-inferred layout), and
+    /// splice `WireHeader::encode` back on `Continue`.
     fn reference_walk(
         pipelines: &[UnrollerPipeline],
         layout: &HeaderLayout,
@@ -1513,18 +1485,20 @@ mod tests {
                     view.flip_bit(flip.expect("checked").1);
                 }
             }
-            let verdict = if layout.xcnt_bits > 0 {
-                pipeline.process_frame_in_place(frame)
-            } else {
-                let parsed = parse_frame(layout, frame).map(|(_, hdr, _)| hdr);
-                parsed.map(|mut hdr| {
-                    let verdict = pipeline.process_header_ttl(&mut hdr, hop.min(255) as u8);
-                    if verdict == Verdict::Continue {
-                        rewrite_shim(layout, frame, &hdr);
-                    }
-                    verdict
-                })
-            };
+            let verdict = ShimView::new(layout, frame).map(|_| ()).map(|()| {
+                let shim = &mut frame[ETH_HEADER_LEN..];
+                let mut hdr = WireHeader::decode(layout, shim).expect("validated frame");
+                let verdict = if layout.xcnt_bits > 0 {
+                    pipeline.process_header(&mut hdr)
+                } else {
+                    pipeline.process_header_ttl(&mut hdr, hop.min(255) as u8)
+                };
+                if verdict == Verdict::Continue {
+                    let bytes = hdr.encode(layout);
+                    shim[..bytes.len()].copy_from_slice(&bytes);
+                }
+                verdict
+            });
             hop += 1;
             match verdict {
                 Err(_) => return MemoVerdict::FrameError { hops: hop - 1 },

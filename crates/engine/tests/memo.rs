@@ -218,7 +218,6 @@ fn run_worker(
         faults: faults.map(|plan| plan.for_shard(0)),
         event_faults: EventFaults::inactive(),
         kick: Arc::new(AtomicBool::new(false)),
-        pin_core: None,
         memo,
     };
     for p in packets {

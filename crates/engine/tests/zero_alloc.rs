@@ -12,7 +12,7 @@
 //! list and its share of the event channel): the delta is bounded by
 //! the extra reported events, not the extra detections.
 //!
-//! The lib crate denies `unsafe_code`; this test file opts back in only
+//! The lib crate forbids `unsafe_code`; this test file opts back in only
 //! for the `GlobalAlloc` impl (the trait itself is unsafe to
 //! implement), which does nothing beyond counting and delegating to
 //! [`System`].

@@ -253,7 +253,10 @@ fn report_json(opts: &Options, outcome: &ScenarioOutcome, invariant: bool) -> Js
 
 fn main() {
     let opts = parse_args();
-    let outcome = run_scenario(&opts.cfg);
+    let outcome = run_scenario(&opts.cfg).unwrap_or_else(|e| {
+        eprintln!("cannot run the scenario: {e}");
+        std::process::exit(2);
+    });
 
     // The robustness invariant: every oracle cross-domain cycle is
     // localized or explicitly listed unresolvable.

@@ -41,5 +41,5 @@ pub mod sim;
 pub use bus::{Bus, BusCounters, BusFaults, BusSpecError, Msg, Payload};
 pub use controller::{ControllerStats, DomainController, GOSSIP_EVERY, STEP_NS};
 pub use digest::{DomainId, LoopDigest};
-pub use scenario::{run_scenario, ScenarioConfig, ScenarioOutcome};
+pub use scenario::{run_scenario, ScenarioConfig, ScenarioError, ScenarioOutcome};
 pub use sim::{FederationOutcome, FederationSim};

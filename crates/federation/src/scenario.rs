@@ -16,10 +16,12 @@ use crate::controller::DomainController;
 use crate::digest::DomainId;
 use crate::sim::{FederationOutcome, FederationSim};
 use std::collections::BTreeSet;
+use std::fmt;
 use unroller_control::HealPolicy;
 use unroller_core::{CycleKey, SwitchId};
 use unroller_engine::{
-    DomainRouter, Engine, EngineConfig, EngineReport, FullPolicy, LoopInjection, ReplaySource,
+    DomainRouter, Engine, EngineConfig, EngineError, EngineReport, FullPolicy, LoopInjection,
+    ReplaySource,
 };
 use unroller_sim::{NullDetector, SimConfig, Simulator};
 use unroller_topology::{generators, DomainMap, Graph, NodeId};
@@ -64,6 +66,46 @@ impl Default for ScenarioConfig {
         }
     }
 }
+
+/// Why a scenario could not run: a configuration the topology, the
+/// partition or the engine refuses.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScenarioError {
+    /// The topology spec names no known generator (or too few nodes).
+    UnknownTopology(String),
+    /// The topology's nodes cannot be split into that many domains.
+    Partition {
+        /// Nodes in the topology.
+        nodes: usize,
+        /// Domains asked for.
+        domains: usize,
+    },
+    /// No cross-domain cycle to inject: no edge joins two domains (a
+    /// single domain), or no destination lies off the edge.
+    NoCrossDomainCycle,
+    /// A scenario needs at least one flow.
+    NoFlows,
+    /// The engine refused its configuration or its run failed.
+    Engine(EngineError),
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScenarioError::UnknownTopology(spec) => write!(f, "unknown topology spec: {spec}"),
+            ScenarioError::Partition { nodes, domains } => {
+                write!(f, "cannot split {nodes} nodes into {domains} domains")
+            }
+            ScenarioError::NoCrossDomainCycle => {
+                write!(f, "the partition leaves no cross-domain cycle to inject")
+            }
+            ScenarioError::NoFlows => write!(f, "at least one flow required"),
+            ScenarioError::Engine(e) => write!(f, "engine: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
 
 /// What one scenario run produced.
 #[derive(Debug, Clone)]
@@ -174,25 +216,35 @@ pub fn oracle_cycles(
     (cross, local)
 }
 
-/// Runs one full scenario.
-///
-/// # Panics
-///
-/// Panics on an unknown topology spec, an impossible domain partition,
-/// or a topology with no cross-domain edge (contiguous bands over a
-/// connected graph always have one).
-pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
+/// Runs one full scenario; a typed error for a configuration it cannot
+/// run (contiguous bands of two or more domains over a connected graph
+/// always have a cross-domain edge).
+pub fn run_scenario(cfg: &ScenarioConfig) -> Result<ScenarioOutcome, ScenarioError> {
     let graph = generators::from_spec(&cfg.topology)
-        .unwrap_or_else(|| panic!("unknown topology spec: {}", cfg.topology));
+        .ok_or_else(|| ScenarioError::UnknownTopology(cfg.topology.clone()))?;
     let n = graph.node_count();
-    let map = DomainMap::contiguous(n, cfg.domains)
-        .unwrap_or_else(|| panic!("cannot split {n} nodes into {} domains", cfg.domains));
+    let map = DomainMap::contiguous(n, cfg.domains).ok_or(ScenarioError::Partition {
+        nodes: n,
+        domains: cfg.domains,
+    })?;
+    if cfg.flows == 0 {
+        return Err(ScenarioError::NoFlows);
+    }
     let ids: Vec<SwitchId> = (0..n as u32).map(|i| ID_BASE + i).collect();
+    let engine = Engine::new(
+        EngineConfig {
+            shards: cfg.shards,
+            full_policy: FullPolicy::Block,
+            ..EngineConfig::default()
+        },
+        &ids,
+    )
+    .map_err(ScenarioError::Engine)?;
 
     // Poison a cross-domain edge and route traffic over the poisoned
     // tables.
     let (cycle, dst) =
-        pick_cross_domain_cycle(&graph, &map).expect("connected topology has a cross-domain edge");
+        pick_cross_domain_cycle(&graph, &map).ok_or(ScenarioError::NoCrossDomainCycle)?;
     let injection = LoopInjection {
         cycle: cycle.clone(),
         dst,
@@ -213,16 +265,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
     let (oracle_cross, oracle_local) = oracle_cycles(&checker, &map);
 
     // Detection: the sharded engine over the replayed traffic.
-    let engine = Engine::new(
-        EngineConfig {
-            shards: cfg.shards,
-            full_policy: FullPolicy::Block,
-            ..EngineConfig::default()
-        },
-        &ids,
-    )
-    .expect("valid engine config");
-    let report = engine.run(&mut source).expect("engine run");
+    let report = engine.run(&mut source).map_err(ScenarioError::Engine)?;
 
     // Route each deduplicated event to the domain owning its trigger.
     let router_map = map.clone();
@@ -266,7 +309,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         hit as f64 / oracle_cross.len() as f64
     };
 
-    ScenarioOutcome {
+    Ok(ScenarioOutcome {
         nodes: n,
         injected_cycle: cycle,
         engine: report,
@@ -279,7 +322,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         controllers: fed.controllers.iter().map(|c| c.stats).collect(),
         bus: fed.bus.counters,
         bus_in_flight: fed.bus.in_flight(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -293,7 +336,7 @@ mod tests {
             flows: 16,
             ..ScenarioConfig::default()
         };
-        let outcome = run_scenario(&cfg);
+        let outcome = run_scenario(&cfg).expect("valid scenario");
         assert!(outcome.engine.loop_detected(), "traffic hit the loop");
         assert!(!outcome.oracle_cross.is_empty(), "oracle sees the cycle");
         assert_eq!(outcome.recall, 1.0, "{:?}", outcome.federation);
@@ -313,7 +356,7 @@ mod tests {
             .unwrap(),
             ..ScenarioConfig::default()
         };
-        let outcome = run_scenario(&cfg);
+        let outcome = run_scenario(&cfg).expect("valid scenario");
         assert_eq!(outcome.recall, 1.0, "{:?}", outcome.federation);
         assert!(outcome.accounted(), "conservation under chaos");
     }

@@ -211,7 +211,7 @@ fn full_stack_chaos_at_4x_baseline_with_crashes() {
         faults,
         max_steps: 1_024,
     };
-    let outcome = run_scenario(&cfg);
+    let outcome = run_scenario(&cfg).expect("valid scenario");
     assert!(outcome.engine.loop_detected());
     assert!(!outcome.oracle_cross.is_empty());
     for key in &outcome.oracle_cross {

@@ -6,13 +6,13 @@
 //! cargo run --release --example dataplane_pipeline
 //! ```
 //!
-//! This drives the P4-model code path (parse → 256-entry phase LUT →
-//! compare/min-update → deparse) byte-for-byte, and prints the resource
-//! report that substitutes for the paper's Table 4.
+//! This drives the P4-model code path (validate → decode → 256-entry
+//! phase LUT → compare/min-update → encode) byte-for-byte, and prints
+//! the resource report that substitutes for the paper's Table 4.
 
 use unroller::core::{UnrollerParams, Verdict};
 use unroller::dataplane::header::{HeaderLayout, WireHeader};
-use unroller::dataplane::parser::{build_frame, parse_frame, EthernetHeader};
+use unroller::dataplane::parser::{build_frame, EthernetHeader, ETH_HEADER_LEN};
 use unroller::dataplane::pcap::PcapWriter;
 use unroller::dataplane::pipeline::UnrollerPipeline;
 
@@ -61,10 +61,12 @@ fn main() {
     pcap.push(0, &frame);
 
     for (i, pipe) in pipelines.iter().enumerate() {
-        let verdict = pipe.process_frame(&mut frame).expect("well-formed frame");
+        let verdict = pipe
+            .process_frame_in_place(&mut frame)
+            .expect("well-formed frame");
         pcap.push((i as u64 + 1) * 1_500, &frame);
-        let (_, shim, _) = parse_frame(&layout, &frame).expect("reparses");
-        let shim_bytes = &frame[14..14 + layout.total_bytes()];
+        let shim_bytes = &frame[ETH_HEADER_LEN..ETH_HEADER_LEN + layout.total_bytes()];
+        let shim = WireHeader::decode(&layout, shim_bytes).expect("shim decodes");
         println!(
             "hop {:>2} @ switch {:#04x}: shim = [{}]  Xcnt={:>3} Thcnt={} SWid={:#05x}",
             i + 1,

@@ -9,9 +9,12 @@
 
 use proptest::prelude::*;
 use unroller::core::walk::run_detector;
-use unroller::core::{bounds, InPacketDetector, PhaseSchedule, Unroller, UnrollerParams, Walk};
+use unroller::core::{
+    bounds, InPacketDetector, PhaseSchedule, Unroller, UnrollerParams, Verdict, Walk,
+};
 use unroller::dataplane::header::{HeaderLayout, WireHeader};
 use unroller::dataplane::pipeline::UnrollerPipeline;
+use unroller::dataplane::{ETHERTYPE_UNROLLER, ETH_HEADER_LEN};
 
 /// Strategy for arbitrary valid parameter sets (kept small enough that
 /// detection finishes quickly).
@@ -203,15 +206,31 @@ proptest! {
         let _ = WireHeader::decode(&layout, &bytes); // must not panic
     }
 
-    /// Frame processing on arbitrary bytes never panics: it parses and
-    /// processes, or returns a structured `FrameError`.
+    /// Frame processing on arbitrary bytes never panics: it validates,
+    /// decodes, runs the control block and encodes, or returns a
+    /// structured `FrameError`. Half the frames carry the Unroller
+    /// EtherType, so garbage shims reach the control block. An error or
+    /// a report leaves every byte as it came; a `Continue` changes no
+    /// byte outside the shim.
     #[test]
     fn frame_processing_never_panics_on_garbage(
         params in params_strategy(),
         mut bytes in prop::collection::vec(any::<u8>(), 0..96),
+        tagged in prop::bool::ANY,
     ) {
+        if tagged && bytes.len() >= ETH_HEADER_LEN {
+            bytes[12..14].copy_from_slice(&ETHERTYPE_UNROLLER.to_be_bytes());
+        }
+        let before = bytes.clone();
+        let shim_end = ETH_HEADER_LEN + HeaderLayout::from_params(&params).total_bytes();
         let pipe = UnrollerPipeline::new(7, params).unwrap();
-        let _ = pipe.process_frame(&mut bytes); // must not panic
+        match pipe.process_frame_in_place(&mut bytes) {
+            Ok(Verdict::Continue) => {
+                prop_assert_eq!(&bytes[..ETH_HEADER_LEN], &before[..ETH_HEADER_LEN]);
+                prop_assert_eq!(&bytes[shim_end..], &before[shim_end..]);
+            }
+            Ok(Verdict::LoopReported) | Err(_) => prop_assert_eq!(&bytes, &before),
+        }
     }
 
     /// Detection time never improves when the threshold rises (same
