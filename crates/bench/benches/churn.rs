@@ -17,7 +17,10 @@
 //! * `detect_latency_ns` — swap-publish → first loop event on that
 //!   generation, per (shard, generation), merged across shards;
 //! * realized control-plane throughput (rule deltas and generations
-//!   published per second of wall time).
+//!   published per second of wall time), the route slots those
+//!   generations changed, and each event's two parts: the DV round
+//!   (`dv_round_ns`) and the update from deltas to a published
+//!   generation (`update_publish_ns`).
 //!
 //! Output is JSON (schema in `results/README.md`):
 //!
@@ -109,6 +112,7 @@ fn run_rate(rate: u64, packets: u64, flows: usize, seed: u64) -> RateRun {
         "updates_per_sec_realized",
         Json::Float(source.rules_applied() as f64 / wall_s),
     );
+    row.set("routes_changed", Json::UInt(source.routes_changed()));
     row.set("links_failed", Json::UInt(source.links_failed()));
     row.set("trapped_flows", Json::UInt(trapped.len() as u64));
     row.set("detected_trapped_flows", Json::UInt(hits as u64));
@@ -118,6 +122,8 @@ fn run_rate(rate: u64, packets: u64, flows: usize, seed: u64) -> RateRun {
     if let Some(l) = &latency {
         row.set("detect_latency_ns", l.to_json());
     }
+    row.set("dv_round_ns", source.dv_round_ns().to_json());
+    row.set("update_publish_ns", source.update_publish_ns().to_json());
     RateRun {
         row,
         recall,

@@ -13,8 +13,18 @@
 //! distance vector from its neighbors' *previous-round* vectors. This
 //! is the classic setting in which two-node count-to-infinity loops
 //! form (and in which split horizon suppresses them).
+//!
+//! A round re-evaluates only *dirty* entries, the way RIP's triggered
+//! updates send only the routes that changed. An entry `(node, dst)` is
+//! dirty when one of its inputs changed since it was last evaluated: a
+//! neighbor's distance or next hop toward `dst`, a link at `node`
+//! failing or coming back, or a local withdrawal of the entry itself.
+//! Every other entry would recompute to the value it already holds, so
+//! skipping it changes nothing: a round evaluates the dirty entries
+//! against the unchanged state, then applies the changed ones in
+//! `(node, dst)` order. The deltas, the `changed` flag and the tables
+//! are exactly those of the full synchronous round.
 
-use std::collections::HashSet;
 use unroller_topology::{Graph, NodeId};
 
 /// RIP's "infinity": distances at or above this are unreachable.
@@ -54,34 +64,73 @@ pub struct LoopScratch {
     epoch: u64,
 }
 
+/// The entries due for evaluation in the next round, each listed once.
+#[derive(Debug, Clone)]
+struct DirtySet {
+    /// `flag[node * n + dst]`: whether the entry is listed.
+    flag: Vec<bool>,
+    /// The listed entries' indices, in marking order.
+    list: Vec<usize>,
+}
+
+impl DirtySet {
+    fn mark(&mut self, at: usize) {
+        if !self.flag[at] {
+            self.flag[at] = true;
+            self.list.push(at);
+        }
+    }
+}
+
 /// A synchronous distance-vector routing process over a topology.
 #[derive(Debug, Clone)]
 pub struct DistanceVector {
     graph: Graph,
-    /// `dist[node][dst]`, capped at [`INFINITY`].
-    dist: Vec<Vec<u32>>,
-    /// `next[node][dst]`.
-    next: Vec<Vec<Option<NodeId>>>,
-    /// Failed links, stored normalized (`min`, `max`).
-    down: HashSet<(NodeId, NodeId)>,
+    /// Node count: the row length of the flat tables.
+    n: usize,
+    /// `dist[node * n + dst]`, capped at [`INFINITY`].
+    dist: Vec<u32>,
+    /// `next[node * n + dst]`.
+    next: Vec<Option<NodeId>>,
+    /// `up[node][i]`: whether the link to `graph.neighbors(node)[i]`
+    /// is up.
+    up: Vec<Vec<bool>>,
     /// Whether split horizon is enabled (a neighbor that routes to
     /// destination *via us* is not considered a candidate next hop).
-    pub split_horizon: bool,
+    /// Fixed at construction: it is an input of every entry.
+    split_horizon: bool,
+    dirty: DirtySet,
+    /// Round scratch: `(entry, dist, next)` for each evaluated entry
+    /// whose value changes.
+    changes: Vec<(usize, u32, Option<NodeId>)>,
 }
 
 impl DistanceVector {
-    /// Creates the process and runs it to initial convergence.
+    /// Creates the process and runs it to initial convergence. Every
+    /// entry starts dirty, so the first round evaluates them all.
     pub fn new(graph: Graph, split_horizon: bool) -> Self {
         let n = graph.node_count();
+        let mut dist = vec![INFINITY; n * n];
+        for v in 0..n {
+            dist[v * n + v] = 0;
+        }
         let mut dv = DistanceVector {
-            dist: vec![vec![INFINITY; n]; n],
-            next: vec![vec![None; n]; n],
-            down: HashSet::new(),
+            n,
+            dist,
+            next: vec![None; n * n],
+            up: graph.nodes().map(|u| vec![true; graph.degree(u)]).collect(),
             split_horizon,
+            dirty: DirtySet {
+                flag: vec![false; n * n],
+                list: Vec::with_capacity(n * n),
+            },
+            changes: Vec::new(),
             graph,
         };
-        for v in 0..n {
-            dv.dist[v][v] = 0;
+        for at in 0..n * n {
+            if at / n != at % n {
+                dv.dirty.mark(at);
+            }
         }
         dv.converge(4 * n as u32 + INFINITY);
         dv
@@ -92,8 +141,32 @@ impl DistanceVector {
         &self.graph
     }
 
-    fn link_up(&self, u: NodeId, v: NodeId) -> bool {
-        !self.down.contains(&(u.min(v), u.max(v)))
+    /// Whether split horizon is enabled.
+    pub fn split_horizon(&self) -> bool {
+        self.split_horizon
+    }
+
+    /// Marks every entry that reads `(node, dst)`: the same
+    /// destination's entry at each of `node`'s neighbors.
+    fn mark_readers(&mut self, node: NodeId, dst: NodeId) {
+        for &m in self.graph.neighbors(node) {
+            if m != dst {
+                self.dirty.mark(m * self.n + dst);
+            }
+        }
+    }
+
+    /// Sets the link `u`–`v` up or down and marks every entry at both
+    /// endpoints, whose candidate next hops just changed.
+    fn set_link(&mut self, u: NodeId, v: NodeId, up: bool) {
+        for (a, b) in [(u, v), (v, u)] {
+            if let Some(i) = self.graph.neighbors(a).iter().position(|&x| x == b) {
+                self.up[a][i] = up;
+            }
+            for dst in (0..self.n).filter(|&dst| dst != a) {
+                self.dirty.mark(a * self.n + dst);
+            }
+        }
     }
 
     /// Fails a link. Adjacent nodes immediately invalidate routes that
@@ -108,35 +181,28 @@ impl DistanceVector {
     /// the local invalidation withdrew through `sink`.
     pub fn fail_link_record(&mut self, u: NodeId, v: NodeId, mut sink: impl FnMut(RuleDelta)) {
         assert!(self.graph.has_edge(u, v), "no such link");
-        self.down.insert((u.min(v), u.max(v)));
-        let n = self.graph.node_count();
-        for dst in 0..n {
-            if self.next[u][dst] == Some(v) {
-                self.dist[u][dst] = INFINITY;
-                self.next[u][dst] = None;
-                sink(RuleDelta {
-                    dst,
-                    node: u,
-                    old: Some(v),
-                    new: None,
-                });
-            }
-            if self.next[v][dst] == Some(u) {
-                self.dist[v][dst] = INFINITY;
-                self.next[v][dst] = None;
-                sink(RuleDelta {
-                    dst,
-                    node: v,
-                    old: Some(u),
-                    new: None,
-                });
+        self.set_link(u, v, false);
+        for dst in 0..self.n {
+            for (node, via) in [(u, v), (v, u)] {
+                let at = node * self.n + dst;
+                if self.next[at] == Some(via) {
+                    self.dist[at] = INFINITY;
+                    self.next[at] = None;
+                    sink(RuleDelta {
+                        dst,
+                        node,
+                        old: Some(via),
+                        new: None,
+                    });
+                    self.mark_readers(node, dst);
+                }
             }
         }
     }
 
     /// Restores a failed link.
     pub fn restore_link(&mut self, u: NodeId, v: NodeId) {
-        self.down.remove(&(u.min(v), u.max(v)));
+        self.set_link(u, v, true);
     }
 
     /// One synchronous routing round: every node recomputes from its
@@ -150,52 +216,70 @@ impl DistanceVector {
     /// produced through `sink` (distance-only changes are silent: they
     /// do not alter the successor graph).
     pub fn step_record(&mut self, mut sink: impl FnMut(RuleDelta)) -> bool {
-        let n = self.graph.node_count();
-        let prev_dist = self.dist.clone();
-        let prev_next = self.next.clone();
-        let mut changed = false;
-        for node in 0..n {
-            for dst in 0..n {
-                if node == dst {
-                    continue;
-                }
-                let mut best = INFINITY;
-                let mut best_next = None;
-                for &nb in self.graph.neighbors(node) {
-                    if !self.link_up(node, nb) {
-                        continue;
-                    }
-                    // Split horizon: ignore routes the neighbor sends
-                    // back through us.
-                    if self.split_horizon && prev_next[nb][dst] == Some(node) {
-                        continue;
-                    }
-                    let via = prev_dist[nb][dst].saturating_add(1).min(INFINITY);
-                    if via < best {
-                        best = via;
-                        best_next = Some(nb);
-                    }
-                }
-                if best >= INFINITY {
-                    best = INFINITY;
-                    best_next = None;
-                }
-                if best != self.dist[node][dst] || best_next != self.next[node][dst] {
-                    if best_next != self.next[node][dst] {
-                        sink(RuleDelta {
-                            dst,
-                            node,
-                            old: self.next[node][dst],
-                            new: best_next,
-                        });
-                    }
-                    self.dist[node][dst] = best;
-                    self.next[node][dst] = best_next;
-                    changed = true;
-                }
+        let n = self.n;
+        // Phase 1: evaluate the dirty entries against the unchanged
+        // state, in (node, dst) order.
+        let mut round = std::mem::take(&mut self.dirty.list);
+        round.sort_unstable();
+        self.changes.clear();
+        for &at in &round {
+            self.dirty.flag[at] = false;
+            let (best, best_next) = self.evaluate(at / n, at % n);
+            if best != self.dist[at] || best_next != self.next[at] {
+                self.changes.push((at, best, best_next));
             }
         }
+        round.clear();
+        self.dirty.list = round;
+        // Phase 2: apply the changes in the same order; each one
+        // dirties its readers for the next round.
+        let changes = std::mem::take(&mut self.changes);
+        for &(at, best, best_next) in &changes {
+            let (node, dst) = (at / n, at % n);
+            if best_next != self.next[at] {
+                sink(RuleDelta {
+                    dst,
+                    node,
+                    old: self.next[at],
+                    new: best_next,
+                });
+            }
+            self.dist[at] = best;
+            self.next[at] = best_next;
+            self.mark_readers(node, dst);
+        }
+        let changed = !changes.is_empty();
+        self.changes = changes;
         changed
+    }
+
+    /// The value entry `(node, dst)` takes from its neighbors' current
+    /// vectors: the first neighbor, over an up link, offering the
+    /// fewest hops.
+    fn evaluate(&self, node: NodeId, dst: NodeId) -> (u32, Option<NodeId>) {
+        let mut best = INFINITY;
+        let mut best_next = None;
+        for (&nb, &up) in self.graph.neighbors(node).iter().zip(&self.up[node]) {
+            if !up {
+                continue;
+            }
+            let at = nb * self.n + dst;
+            // Split horizon: ignore routes the neighbor sends back
+            // through us.
+            if self.split_horizon && self.next[at] == Some(node) {
+                continue;
+            }
+            let via = self.dist[at].saturating_add(1).min(INFINITY);
+            if via < best {
+                best = via;
+                best_next = Some(nb);
+            }
+        }
+        if best >= INFINITY {
+            (INFINITY, None)
+        } else {
+            (best, best_next)
+        }
     }
 
     /// Steps until quiescent or `max_rounds`; returns rounds taken.
@@ -211,15 +295,19 @@ impl DistanceVector {
     /// The forwarding column toward `dst` in the current state,
     /// installable via `Simulator::set_routes`.
     pub fn forwarding(&self, dst: NodeId) -> Vec<Option<NodeId>> {
-        (0..self.graph.node_count())
-            .map(|node| self.next[node][dst])
-            .collect()
+        (0..self.n).map(|node| self.next_hop(node, dst)).collect()
+    }
+
+    /// `node`'s current next hop toward `dst` (`None` = no route).
+    #[inline]
+    pub fn next_hop(&self, node: NodeId, dst: NodeId) -> Option<NodeId> {
+        self.next[node * self.n + dst]
     }
 
     /// Current distance from `node` to `dst` ([`INFINITY`] =
     /// unreachable).
     pub fn distance(&self, node: NodeId, dst: NodeId) -> u32 {
-        self.dist[node][dst]
+        self.dist[node * self.n + dst]
     }
 
     /// Finds a forwarding loop toward `dst` in the current next-hop
@@ -276,7 +364,7 @@ impl DistanceVector {
                 }
                 scratch.mark[cur] = on_walk;
                 scratch.walk.push(cur);
-                match self.next[cur][dst] {
+                match self.next_hop(cur, dst) {
                     Some(nx) => cur = nx,
                     None => break,
                 }
@@ -304,7 +392,9 @@ impl DistanceVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unroller_topology::generators::{grid, ring};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+    use unroller_topology::generators::{grid, random_connected, ring};
 
     fn line(n: usize) -> Graph {
         grid(n, 1)
@@ -408,7 +498,7 @@ mod tests {
         let mut dv = DistanceVector::new(grid(4, 3), false);
         let n = dv.graph().node_count();
         let mut snapshot: Vec<Vec<Option<NodeId>>> = (0..n)
-            .map(|node| (0..n).map(|dst| dv.next[node][dst]).collect())
+            .map(|node| (0..n).map(|dst| dv.next_hop(node, dst)).collect())
             .collect();
         let mut deltas = Vec::new();
         dv.fail_link_record(1, 2, |d| deltas.push(d));
@@ -423,7 +513,7 @@ mod tests {
         apply_deltas(&mut snapshot, &deltas);
         for (node, row) in snapshot.iter().enumerate() {
             for (dst, &next) in row.iter().enumerate() {
-                assert_eq!(next, dv.next[node][dst], "{node}->{dst}");
+                assert_eq!(next, dv.next_hop(node, dst), "{node}->{dst}");
             }
         }
     }
@@ -525,6 +615,177 @@ mod tests {
                 if let Some(nx) = nx {
                     assert!(g.has_edge(node, nx));
                 }
+            }
+        }
+    }
+
+    /// The full synchronous round every entry re-evaluates: the
+    /// reference the dirty rounds must reproduce exactly.
+    struct FullRound {
+        graph: Graph,
+        dist: Vec<Vec<u32>>,
+        next: Vec<Vec<Option<NodeId>>>,
+        down: HashSet<(NodeId, NodeId)>,
+        split_horizon: bool,
+    }
+
+    impl FullRound {
+        fn new(graph: Graph, split_horizon: bool) -> Self {
+            let n = graph.node_count();
+            let mut dv = FullRound {
+                dist: vec![vec![INFINITY; n]; n],
+                next: vec![vec![None; n]; n],
+                down: HashSet::new(),
+                split_horizon,
+                graph,
+            };
+            for v in 0..n {
+                dv.dist[v][v] = 0;
+            }
+            for _ in 0..4 * n as u32 + INFINITY {
+                if !dv.step_record(|_| {}) {
+                    break;
+                }
+            }
+            dv
+        }
+
+        fn fail_link_record(&mut self, u: NodeId, v: NodeId, mut sink: impl FnMut(RuleDelta)) {
+            self.down.insert((u.min(v), u.max(v)));
+            for dst in 0..self.graph.node_count() {
+                for (node, via) in [(u, v), (v, u)] {
+                    if self.next[node][dst] == Some(via) {
+                        self.dist[node][dst] = INFINITY;
+                        self.next[node][dst] = None;
+                        sink(RuleDelta {
+                            dst,
+                            node,
+                            old: Some(via),
+                            new: None,
+                        });
+                    }
+                }
+            }
+        }
+
+        fn restore_link(&mut self, u: NodeId, v: NodeId) {
+            self.down.remove(&(u.min(v), u.max(v)));
+        }
+
+        fn step_record(&mut self, mut sink: impl FnMut(RuleDelta)) -> bool {
+            let n = self.graph.node_count();
+            let prev_dist = self.dist.clone();
+            let prev_next = self.next.clone();
+            let mut changed = false;
+            for node in 0..n {
+                for dst in 0..n {
+                    if node == dst {
+                        continue;
+                    }
+                    let mut best = INFINITY;
+                    let mut best_next = None;
+                    for &nb in self.graph.neighbors(node) {
+                        if self.down.contains(&(node.min(nb), node.max(nb))) {
+                            continue;
+                        }
+                        if self.split_horizon && prev_next[nb][dst] == Some(node) {
+                            continue;
+                        }
+                        let via = prev_dist[nb][dst].saturating_add(1).min(INFINITY);
+                        if via < best {
+                            best = via;
+                            best_next = Some(nb);
+                        }
+                    }
+                    if best >= INFINITY {
+                        best = INFINITY;
+                        best_next = None;
+                    }
+                    if best != self.dist[node][dst] || best_next != self.next[node][dst] {
+                        if best_next != self.next[node][dst] {
+                            sink(RuleDelta {
+                                dst,
+                                node,
+                                old: self.next[node][dst],
+                                new: best_next,
+                            });
+                        }
+                        self.dist[node][dst] = best;
+                        self.next[node][dst] = best_next;
+                        changed = true;
+                    }
+                }
+            }
+            changed
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum DvOp {
+        Fail(usize),
+        Restore(usize),
+        Step,
+    }
+
+    fn dv_op() -> impl Strategy<Value = DvOp> {
+        (0u8..6, any::<usize>()).prop_map(|(kind, pick)| match kind {
+            0 => DvOp::Fail(pick),
+            1 => DvOp::Restore(pick),
+            _ => DvOp::Step,
+        })
+    }
+
+    fn same_tables(dv: &DistanceVector, reference: &FullRound) -> Result<(), TestCaseError> {
+        let n = dv.graph().node_count();
+        for node in 0..n {
+            for dst in 0..n {
+                prop_assert_eq!(dv.distance(node, dst), reference.dist[node][dst]);
+                prop_assert_eq!(dv.next_hop(node, dst), reference.next[node][dst]);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Dirty rounds are the full synchronous round: from `new()`
+        /// and after every fail, restore and step, both processes hold
+        /// the same tables, and every step emits the same deltas in the
+        /// same order with the same `changed` flag.
+        #[test]
+        fn dirty_rounds_match_the_full_round(
+            n in 2usize..14,
+            extra in 0usize..12,
+            seed in any::<u64>(),
+            split in any::<bool>(),
+            ops in prop::collection::vec(dv_op(), 1..60),
+        ) {
+            let graph = random_connected(n, extra, seed);
+            let edges = graph.edges();
+            let mut dv = DistanceVector::new(graph.clone(), split);
+            let mut reference = FullRound::new(graph, split);
+            same_tables(&dv, &reference)?;
+            for op in ops {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                match op {
+                    DvOp::Fail(pick) => {
+                        let (u, v) = edges[pick % edges.len()];
+                        dv.fail_link_record(u, v, |d| got.push(d));
+                        reference.fail_link_record(u, v, |d| want.push(d));
+                    }
+                    DvOp::Restore(pick) => {
+                        let (u, v) = edges[pick % edges.len()];
+                        dv.restore_link(u, v);
+                        reference.restore_link(u, v);
+                    }
+                    DvOp::Step => {
+                        let changed = dv.step_record(|d| got.push(d));
+                        prop_assert_eq!(changed, reference.step_record(|d| want.push(d)));
+                    }
+                }
+                prop_assert_eq!(&got, &want, "{:?}", op);
+                same_tables(&dv, &reference)?;
             }
         }
     }

@@ -157,10 +157,11 @@ fn usage() -> ! {
                              replays the stream per level and writes\n\
                              recall + heal latency per fault rate\n\
            --memo            memoize per-route walk verdicts for\n\
-                             generated traffic (invalidated on every\n\
-                             route-generation swap); a seeded sample of\n\
-                             cache hits is still walked and cross-checked\n\
-                             bit-exactly — any divergence exits 1\n\
+                             generated traffic (a slot's entry is\n\
+                             dropped when a swap changes its route); a\n\
+                             seeded sample of cache hits is still\n\
+                             walked and cross-checked bit-exactly — any\n\
+                             divergence exits 1\n\
            --memo-sample N   cross-check one in N cache hits with a full\n\
                              walk (default 64; 0 = never, 1 = every hit;\n\
                              implies --memo)\n\
@@ -278,23 +279,24 @@ fn parse_args() -> Options {
 }
 
 /// Picks a 2-switch forwarding cycle to inject: the first link whose
-/// endpoints both differ from the chosen destination.
-fn pick_injection(graph: &Graph, dst: NodeId, at_packet: u64) -> LoopInjection {
+/// endpoints both differ from the chosen destination, or `None` when
+/// every link touches it.
+fn pick_injection(graph: &Graph, dst: NodeId, at_packet: u64) -> Option<LoopInjection> {
     for u in 0..graph.node_count() {
         if u == dst {
             continue;
         }
         for &v in graph.neighbors(u) {
             if v != dst {
-                return LoopInjection {
+                return Some(LoopInjection {
                     cycle: vec![u, v],
                     dst,
                     at_packet,
-                };
+                });
             }
         }
     }
-    panic!("topology has no link avoiding node {dst}");
+    None
 }
 
 /// Writes `contents` to `path`, creating missing parent directories;
@@ -496,11 +498,35 @@ fn main() {
         std::process::exit(2);
     });
     let n = graph.node_count();
+    // A topology the traffic source cannot run on is a usage error:
+    // churn needs a third node to reroute through, generated traffic
+    // needs two endpoints.
+    let min_nodes = match (&opts.churn, &opts.replay) {
+        (Some(_), _) => 3,
+        (None, None) => 2,
+        (None, Some(_)) => 1,
+    };
+    if n < min_nodes {
+        eprintln!(
+            "unroller-engine: topology `{}` has {n} node(s); this mode needs at least {min_nodes}",
+            opts.topology
+        );
+        std::process::exit(2);
+    }
     let ids = assign_sequential_ids(n, 100);
     // Destination in the "middle" of the ID space; the injected cycle
     // avoids it by construction.
     let dst = n / 2;
-    let injection = opts.loop_at.map(|at| pick_injection(&graph, dst, at));
+    let injection = opts.loop_at.map(|at| {
+        pick_injection(&graph, dst, at).unwrap_or_else(|| {
+            eprintln!(
+                "unroller-engine: topology `{}` has no link avoiding node {dst} to inject a loop on \
+                 (try --no-loop)",
+                opts.topology
+            );
+            std::process::exit(2);
+        })
+    });
     let run_meta = unroller_engine::RunMeta {
         run_id: opts.run_id.clone().unwrap_or_else(|| {
             unroller_engine::RunMeta::derived_run_id(&opts.topology, opts.seed, opts.epoch)
@@ -621,8 +647,8 @@ fn main() {
         write_report(&out, sweep.render_pretty().as_bytes());
     } else if let Some(plan) = opts.churn.clone() {
         // Live churn: the control plane fails and heals links while the
-        // engine is processing, publishing each recompiled route set as
-        // a new epoch-table generation. Recall is scored against the
+        // engine is processing, publishing each event's routes as a new
+        // epoch-table generation. Recall is scored against the
         // ever-trapped flow set the live FwdChecker mirror accumulated.
         let layout = HeaderLayout::from_params(&cfg.params);
         let mut cfg = cfg;
@@ -694,11 +720,12 @@ fn main() {
             }
         }
         eprintln!(
-            "churn: {} generations over {} link failures ({} rule deltas), \
+            "churn: {} generations over {} link failures ({} rule deltas, {} routes changed), \
              {} trapped flows, recall={recall:.3}, {} loops after swap",
             source.generations_published(),
             source.links_failed(),
             source.rules_applied(),
+            source.routes_changed(),
             looping.len(),
             loops_after_swap,
         );
@@ -709,6 +736,7 @@ fn main() {
             Json::UInt(source.generations_published()),
         );
         churn_section.set("rules_applied", Json::UInt(source.rules_applied()));
+        churn_section.set("routes_changed", Json::UInt(source.routes_changed()));
         churn_section.set("links_failed", Json::UInt(source.links_failed()));
         churn_section.set("trapped_flows", Json::UInt(looping.len() as u64));
         churn_section.set("detected_trapped_flows", Json::UInt(hits as u64));
@@ -721,6 +749,8 @@ fn main() {
         if let Some(latency) = &latency {
             churn_section.set("detect_latency_ns", latency.to_json());
         }
+        churn_section.set("dv_round_ns", source.dv_round_ns().to_json());
+        churn_section.set("update_publish_ns", source.update_publish_ns().to_json());
         let mut rendered = report.to_json();
         rendered.set("run_meta", run_meta.to_json());
         rendered.set("recall", Json::Float(recall));

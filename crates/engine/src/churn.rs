@@ -5,13 +5,23 @@
 //! topology and a schedule of seeded link failures. Every `interval`
 //! packets it advances the control plane by one event — fail a link,
 //! run one synchronous DV exchange round, or restore the link — and
-//! recompiles every flow's route from the new forwarding columns into
-//! a fresh [`RouteSet`] generation published through the shared
-//! [`EpochRouteTable`]. Workers pick the swap up at their next batch
-//! boundary, so the count-to-infinity micro-loops the DV process forms
-//! (and later heals) exist *in the data plane* exactly as long as the
-//! control plane takes to converge — the live-churn scenario the
-//! detect-don't-prevent argument is about.
+//! publishes the resulting routes as a new [`RouteSet`] generation
+//! through the shared [`EpochRouteTable`]. Workers pick the swap up at
+//! their next batch boundary, so the count-to-infinity micro-loops the
+//! DV process forms (and later heals) exist *in the data plane* exactly
+//! as long as the control plane takes to converge — the live-churn
+//! scenario the detect-don't-prevent argument is about.
+//!
+//! An event costs what its rule changes touched. Only the flows toward
+//! a destination some [`RuleDelta`] names are re-walked, straight off
+//! the DV next-hop table, and a walk that matches the flow's current
+//! route allocates nothing. The route set is rebuilt only when some
+//! slot changed; otherwise the same `Arc` is published again. Either
+//! way every event that emitted deltas publishes exactly one
+//! generation. The source times each event in two parts: the DV step
+//! (the simulated control plane, [`ChurnSource::dv_round_ns`]) and the
+//! update, from the deltas to a published generation
+//! ([`ChurnSource::update_publish_ns`]).
 //!
 //! Every [`RuleDelta`] the DV process emits is simultaneously fed to an
 //! incremental [`FwdChecker`] mirror, which classifies each flow after
@@ -27,15 +37,17 @@
 
 use crate::epoch::EpochRouteTable;
 use crate::flow::FlowKey;
+use crate::metrics::{Histogram, HistogramSnapshot};
 use crate::packet::{EnginePacket, PathSpec};
 use crate::route::{RouteId, RouteSet};
 use crate::source::TrafficSource;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 use unroller_control::{DistanceVector, RuleDelta};
 use unroller_topology::{Graph, NodeId};
 use unroller_verify::FwdChecker;
@@ -140,6 +152,58 @@ enum Phase {
     Healing,
 }
 
+/// Reusable state for walking a flow's route off the DV next-hop
+/// table: epoch-stamped visit marks and one path buffer, so a walk
+/// allocates nothing.
+#[derive(Debug, Default)]
+struct Walker {
+    /// `visited[node] == epoch`: `node` is on the current walk.
+    visited: Vec<u64>,
+    epoch: u64,
+    path: Vec<NodeId>,
+}
+
+impl Walker {
+    /// Walks `dv`'s next hops from `src` toward `dst` into the path
+    /// buffer: to `dst` (a linear route), to a withdrawn entry (a
+    /// partial linear route: the packet strands mid-network), or to a
+    /// revisited node, whose first position the walk returns as the
+    /// start of the cycle.
+    fn walk(&mut self, dv: &DistanceVector, src: NodeId, dst: NodeId) -> Option<usize> {
+        self.epoch += 1;
+        self.visited.resize(dv.graph().node_count(), 0);
+        self.path.clear();
+        self.path.push(src);
+        self.visited[src] = self.epoch;
+        let mut cur = src;
+        while cur != dst {
+            let next = dv.next_hop(cur, dst)?;
+            if self.visited[next] == self.epoch {
+                return self.path.iter().position(|&w| w == next);
+            }
+            self.visited[next] = self.epoch;
+            self.path.push(next);
+            cur = next;
+        }
+        None
+    }
+
+    /// Whether the last walk, whose cycle starts at `cycle_at`, is
+    /// `spec`.
+    fn matches(&self, cycle_at: Option<usize>, spec: &PathSpec) -> bool {
+        let (pre, cycle) = self.path.split_at(cycle_at.unwrap_or(self.path.len()));
+        *spec.pre == *pre && *spec.cycle == *cycle
+    }
+
+    /// The last walk, whose cycle starts at `cycle_at`, as a route.
+    fn spec(&self, cycle_at: Option<usize>) -> PathSpec {
+        match cycle_at {
+            None => PathSpec::linear(self.path.clone()),
+            Some(at) => PathSpec::looping(self.path[..at].to_vec(), self.path[at..].to_vec()),
+        }
+    }
+}
+
 /// A traffic source that streams flow packets round-robin while a
 /// distance-vector control plane churns underneath them (see the
 /// module docs). Implements [`TrafficSource`]; hand its
@@ -151,6 +215,14 @@ pub struct ChurnSource {
     table: Arc<EpochRouteTable>,
     /// Flow endpoints, indexed by flow = route slot.
     endpoints: Vec<(NodeId, NodeId)>,
+    /// `by_dst[dst]`: the flows toward `dst`.
+    by_dst: Vec<Vec<usize>>,
+    /// Each flow's route in the current generation, by slot.
+    specs: Vec<PathSpec>,
+    walker: Walker,
+    /// Event scratch: the deltas, then the destinations they name.
+    deltas: Vec<RuleDelta>,
+    touched: Vec<NodeId>,
     keys: Vec<FlowKey>,
     seqs: Vec<u64>,
     /// Links cycled through failure, in schedule order.
@@ -169,6 +241,9 @@ pub struct ChurnSource {
     next_flow: usize,
     rules_applied: u64,
     links_failed: u64,
+    routes_changed: u64,
+    dv_round_ns: Histogram,
+    update_publish_ns: Histogram,
 }
 
 impl ChurnSource {
@@ -201,6 +276,10 @@ impl ChurnSource {
             .enumerate()
             .map(|(f, &(src, dst))| FlowKey::synthetic(src as u32, dst as u32, f as u32))
             .collect();
+        let mut by_dst = vec![Vec::new(); n];
+        for (f, &(_, dst)) in endpoints.iter().enumerate() {
+            by_dst[dst].push(f);
+        }
 
         let mut schedule = edges;
         schedule.shuffle(&mut rng);
@@ -210,9 +289,16 @@ impl ChurnSource {
         let mut checker = FwdChecker::from_dv(&dv);
         checker.register_flows(endpoints.clone());
 
-        // Generation 1: every flow's route compiled from the converged
-        // columns, one slot per flow.
-        let specs = compile_all(&dv, &endpoints);
+        // Generation 1: every flow walked from the converged table,
+        // one slot per flow.
+        let mut walker = Walker::default();
+        let specs: Vec<PathSpec> = endpoints
+            .iter()
+            .map(|&(src, dst)| {
+                let cycle_at = walker.walk(&dv, src, dst);
+                walker.spec(cycle_at)
+            })
+            .collect();
         let table = Arc::new(EpochRouteTable::new(RouteSet::from_specs(specs.iter())));
 
         ChurnSource {
@@ -220,6 +306,11 @@ impl ChurnSource {
             dv,
             checker,
             endpoints,
+            by_dst,
+            specs,
+            walker,
+            deltas: Vec::new(),
+            touched: Vec::new(),
             keys,
             seqs: vec![0; flows],
             active_link: schedule[0],
@@ -235,51 +326,93 @@ impl ChurnSource {
             next_flow: 0,
             rules_applied: 0,
             links_failed: 0,
+            routes_changed: 0,
+            dv_round_ns: Histogram::default(),
+            update_publish_ns: Histogram::default(),
         }
     }
 
     /// Advances the control plane by one event. Any emitted deltas are
-    /// mirrored into the checker, folded into a freshly published route
+    /// mirrored into the checker, folded into one published route
     /// generation, and followed by a trapped-flow scan.
     fn advance(&mut self) {
-        let mut deltas: Vec<RuleDelta> = Vec::new();
+        let start = Instant::now();
+        self.deltas.clear();
         match self.phase {
             Phase::Fail => {
                 let (u, v) = self.schedule[self.next_link];
                 self.next_link = (self.next_link + 1) % self.schedule.len();
                 self.active_link = (u, v);
-                self.dv.fail_link_record(u, v, |d| deltas.push(d));
+                self.dv.fail_link_record(u, v, |d| self.deltas.push(d));
                 self.links_failed += 1;
                 self.phase = Phase::Collapsing;
             }
             Phase::Collapsing => {
-                if !self.dv.step_record(|d| deltas.push(d)) {
+                if !self.dv.step_record(|d| self.deltas.push(d)) {
                     let (u, v) = self.active_link;
                     self.dv.restore_link(u, v);
                     self.phase = Phase::Healing;
                 }
             }
             Phase::Healing => {
-                if !self.dv.step_record(|d| deltas.push(d)) {
+                if !self.dv.step_record(|d| self.deltas.push(d)) {
                     self.phase = Phase::Fail;
                 }
             }
         }
-        if deltas.is_empty() {
-            return;
+        let update_start = Instant::now();
+        self.dv_round_ns
+            .record((update_start - start).as_nanos() as u64);
+        if !self.deltas.is_empty() {
+            self.update(update_start);
         }
-        for delta in &deltas {
+    }
+
+    /// Folds the event's deltas into the next generation: mirrors them
+    /// into the checker, re-walks the flows toward every destination
+    /// they name, and publishes the result.
+    fn update(&mut self, update_start: Instant) {
+        self.touched.clear();
+        for delta in &self.deltas {
             self.checker.apply(delta);
+            self.touched.push(delta.dst);
         }
-        self.rules_applied += deltas.len() as u64;
-        let specs = compile_all(&self.dv, &self.endpoints);
-        let generation = self.table.publish(RouteSet::from_specs(specs.iter()));
-        self.generation_log.push((generation, deltas.len()));
+        self.rules_applied += self.deltas.len() as u64;
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        let changed = self.rewalk_touched();
+        self.routes_changed += changed;
+        let routes = if changed > 0 {
+            RouteSet::from_specs(self.specs.iter())
+        } else {
+            self.table.current()
+        };
+        let generation = self.table.publish(routes);
+        self.update_publish_ns
+            .record(update_start.elapsed().as_nanos() as u64);
+        self.generation_log.push((generation, self.deltas.len()));
         for (f, &(src, dst)) in self.endpoints.iter().enumerate() {
             if self.checker.flow_trapped(src, dst) {
                 self.trapped.insert(f);
             }
         }
+    }
+
+    /// Re-walks every flow toward a touched destination and replaces
+    /// each route the walk no longer matches. Returns how many slots
+    /// changed.
+    fn rewalk_touched(&mut self) -> u64 {
+        let mut changed = 0;
+        for &dst in &self.touched {
+            for &f in &self.by_dst[dst] {
+                let cycle_at = self.walker.walk(&self.dv, self.endpoints[f].0, dst);
+                if !self.walker.matches(cycle_at, &self.specs[f]) {
+                    self.specs[f] = self.walker.spec(cycle_at);
+                    changed += 1;
+                }
+            }
+        }
+        changed
     }
 
     /// The shared epoch table the engine's workers should read from.
@@ -319,6 +452,25 @@ impl ChurnSource {
         self.links_failed
     }
 
+    /// Route slots whose route differed from the previous published
+    /// generation, summed over the generations published so far.
+    pub fn routes_changed(&self) -> u64 {
+        self.routes_changed
+    }
+
+    /// Nanoseconds per control event spent in the DV step: the
+    /// simulated control plane.
+    pub fn dv_round_ns(&self) -> HistogramSnapshot {
+        self.dv_round_ns.snapshot()
+    }
+
+    /// Nanoseconds per published generation from the event's deltas
+    /// to a generation the workers can see: checker apply, re-walk,
+    /// route-set build and publish.
+    pub fn update_publish_ns(&self) -> HistogramSnapshot {
+        self.update_publish_ns.snapshot()
+    }
+
     /// Packets between control-plane events.
     pub fn interval(&self) -> u64 {
         self.interval
@@ -341,48 +493,6 @@ impl ChurnSource {
         }
         Ok(())
     }
-}
-
-/// Compiles every flow's current route by walking the DV forwarding
-/// columns from its source: reach the destination → linear route; hit
-/// a withdrawn entry → partial linear route (the packet strands
-/// mid-network); revisit a node → looping route, cycle split out. One
-/// spec per flow, in flow order — the slot-stability invariant.
-fn compile_all(dv: &DistanceVector, endpoints: &[(NodeId, NodeId)]) -> Vec<PathSpec> {
-    let mut by_dst: HashMap<NodeId, Vec<usize>> = HashMap::new();
-    for (f, &(_, dst)) in endpoints.iter().enumerate() {
-        by_dst.entry(dst).or_default().push(f);
-    }
-    let mut specs = vec![PathSpec::linear(Vec::new()); endpoints.len()];
-    for (&dst, flow_idxs) in &by_dst {
-        let column = dv.forwarding(dst);
-        for &f in flow_idxs {
-            specs[f] = walk_column(&column, endpoints[f].0, dst);
-        }
-    }
-    specs
-}
-
-/// Walks `column` (next hops toward `dst`) from `src` into a
-/// [`PathSpec`]; see [`compile_all`].
-fn walk_column(column: &[Option<NodeId>], src: NodeId, dst: NodeId) -> PathSpec {
-    let mut path = vec![src];
-    let mut seen: HashMap<NodeId, usize> = HashMap::new();
-    seen.insert(src, 0);
-    let mut cur = src;
-    while cur != dst {
-        let Some(next) = column[cur] else {
-            return PathSpec::linear(path);
-        };
-        if let Some(&at) = seen.get(&next) {
-            let cycle = path.split_off(at);
-            return PathSpec::looping(path, cycle);
-        }
-        seen.insert(next, path.len());
-        path.push(next);
-        cur = next;
-    }
-    PathSpec::linear(path)
 }
 
 impl TrafficSource for ChurnSource {
@@ -421,7 +531,102 @@ impl TrafficSource for ChurnSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unroller_topology::generators::ring;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+    use unroller_topology::generators::{random_connected, ring};
+
+    /// The full recompile the incremental update must match: walks
+    /// every flow's DV forwarding column from its source. One spec per
+    /// flow, in flow order — the slot-stability invariant.
+    fn compile_all(dv: &DistanceVector, endpoints: &[(NodeId, NodeId)]) -> Vec<PathSpec> {
+        let mut by_dst: HashMap<NodeId, Vec<usize>> = HashMap::new();
+        for (f, &(_, dst)) in endpoints.iter().enumerate() {
+            by_dst.entry(dst).or_default().push(f);
+        }
+        let mut specs = vec![PathSpec::linear(Vec::new()); endpoints.len()];
+        for (&dst, flow_idxs) in &by_dst {
+            let column = dv.forwarding(dst);
+            for &f in flow_idxs {
+                specs[f] = walk_column(&column, endpoints[f].0, dst);
+            }
+        }
+        specs
+    }
+
+    /// Walks `column` (next hops toward `dst`) from `src` into a
+    /// [`PathSpec`]: reach the destination → linear route; hit a
+    /// withdrawn entry → partial linear route; revisit a node →
+    /// looping route, cycle split out.
+    fn walk_column(column: &[Option<NodeId>], src: NodeId, dst: NodeId) -> PathSpec {
+        let mut path = vec![src];
+        let mut seen: HashMap<NodeId, usize> = HashMap::new();
+        seen.insert(src, 0);
+        let mut cur = src;
+        while cur != dst {
+            let Some(next) = column[cur] else {
+                return PathSpec::linear(path);
+            };
+            if let Some(&at) = seen.get(&next) {
+                let cycle = path.split_off(at);
+                return PathSpec::looping(path, cycle);
+            }
+            seen.insert(next, path.len());
+            path.push(next);
+            cur = next;
+        }
+        PathSpec::linear(path)
+    }
+
+    /// The published set equals a full recompile of the DV state, slot
+    /// for slot.
+    fn matches_full_recompile(source: &ChurnSource) -> Result<(), TestCaseError> {
+        let reference = RouteSet::from_specs(compile_all(&source.dv, &source.endpoints).iter());
+        let current = source.table.current();
+        prop_assert_eq!(current.len(), reference.len());
+        for (slot, (got, want)) in current.iter().zip(reference.iter()).enumerate() {
+            prop_assert_eq!(got, want, "slot {}", slot);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Re-walking only the flows toward touched destinations
+        /// publishes, after every event, exactly the set a full
+        /// recompile builds; `routes_changed` counts exactly the slots
+        /// that differ from the previous generation, and an event that
+        /// changed none republishes the same set.
+        #[test]
+        fn every_generation_equals_a_full_recompile(
+            n in 3usize..24,
+            extra in 0usize..12,
+            topology_seed in any::<u64>(),
+            seed in any::<u64>(),
+            links in 1usize..5,
+            flows in 1usize..40,
+            events in 1usize..150,
+        ) {
+            let graph = random_connected(n, extra, topology_seed);
+            let plan = ChurnPlan { rate: 1000, seed, links };
+            let mut source = ChurnSource::new(graph, &plan, flows, 0);
+            matches_full_recompile(&source)?;
+            let mut changed = 0u64;
+            for _ in 0..events {
+                let before = source.table.current();
+                let generation = source.table.generation();
+                source.advance();
+                matches_full_recompile(&source)?;
+                let after = source.table.current();
+                let diff = before.iter().zip(after.iter()).filter(|(a, b)| a != b).count() as u64;
+                if diff == 0 && source.table.generation() > generation {
+                    prop_assert!(Arc::ptr_eq(&before, &after), "an unchanged set is republished");
+                }
+                changed += diff;
+            }
+            prop_assert_eq!(source.routes_changed(), changed);
+        }
+    }
 
     fn drain(source: &mut ChurnSource) -> Vec<EnginePacket> {
         let mut out = Vec::new();

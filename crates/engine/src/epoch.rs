@@ -215,9 +215,9 @@ impl EpochRouteTable {
 ///
 /// Call [`refresh`](Self::refresh) once per batch: when nothing was
 /// published it is a single atomic load; when the table moved it pins
-/// the new generation and hands back its number so the caller can
-/// invalidate generation-keyed caches (e.g. the worker's
-/// `first_invalid_hops` table).
+/// the new generation and hands back the set it replaced, so the
+/// caller can re-key its per-slot caches (the worker's validity table
+/// and memo) for exactly the slots whose route changed.
 #[derive(Debug)]
 pub struct RouteReader {
     table: Arc<EpochRouteTable>,
@@ -248,17 +248,22 @@ impl RouteReader {
     }
 
     /// Advances to the published generation if it moved. Returns the
-    /// new generation number on a swap, `None` when already current.
+    /// set it was pinned to before on a swap (the new generation's
+    /// number is [`generation`](Self::generation)), `None` when already
+    /// current. Several publishes may have landed since the last
+    /// refresh, so the replaced set can be older than the new one's
+    /// predecessor; a writer may also republish the same set, in which
+    /// case both are the same `Arc`.
     #[inline]
-    pub fn refresh(&mut self) -> Option<u64> {
+    pub fn refresh(&mut self) -> Option<Arc<RouteSet>> {
         if self.table.gen.load(Ordering::Acquire) == self.gen {
             return None;
         }
         let st = self.table.lock();
-        self.current = Arc::clone(&st.current);
+        let replaced = std::mem::replace(&mut self.current, Arc::clone(&st.current));
         self.gen = st.gen;
         self.slot.pinned.0.store(self.gen, Ordering::Release);
-        Some(self.gen)
+        Some(replaced)
     }
 
     /// When `gen` was published, on the table's clock.
@@ -304,16 +309,18 @@ mod tests {
         let table = Arc::new(EpochRouteTable::new(tagged_set(1)));
         let mut reader = table.reader();
         assert_eq!(reader.generation(), 1);
-        assert_eq!(reader.refresh(), None);
+        assert!(reader.refresh().is_none());
 
         assert_eq!(table.publish(tagged_set(2)), 2);
         assert_eq!(table.generation(), 2);
         // The reader still sees its pinned generation until it
         // refreshes.
         assert_eq!(reader.routes().len(), 1);
-        assert_eq!(reader.refresh(), Some(2));
+        let replaced = reader.refresh().expect("a swap was pending");
+        assert_eq!(replaced.len(), 1, "refresh hands back the replaced set");
+        assert_eq!(reader.generation(), 2);
         assert_eq!(reader.routes().len(), 2);
-        assert_eq!(reader.refresh(), None);
+        assert!(reader.refresh().is_none());
     }
 
     #[test]

@@ -13,13 +13,17 @@
 //!
 //! Correctness hinges on two invariants the worker enforces:
 //!
-//! * **Generation keying.** A [`MemoTable`] is only valid for the
-//!   route-set generation it was filled under. The worker calls
-//!   [`MemoTable::invalidate`] on every epoch route-table swap (at the
-//!   batch boundary where [`RouteReader::refresh`](crate::epoch::RouteReader::refresh) observes the new
-//!   generation — the same place `first_invalid_hops` is rebuilt), so
-//!   a swapped-in route reusing a `RouteId` slot can never serve the
-//!   old route's verdict.
+//! * **Route keying.** An entry is valid for the route its slot held
+//!   when it was recorded, and for any generation that keeps that
+//!   route in the slot: params and pipelines are fixed for a run. On
+//!   every epoch route-table swap (the batch boundary where
+//!   [`RouteReader::refresh`](crate::epoch::RouteReader::refresh)
+//!   hands back the replaced set) the worker compares each slot's new
+//!   route with the one it replaced and calls
+//!   [`MemoTable::invalidate_slot`] on every slot whose route differs,
+//!   or that the old set did not have, so a swapped-in route reusing a
+//!   `RouteId` slot can never serve the old route's verdict. A slot
+//!   whose route survived the swap keeps its entry.
 //! * **Sampled cross-checking.** With `sample_every = N`, every N-th
 //!   cache hit still performs the full walk and compares verdict and
 //!   final shim bytes bit-exactly against the cached entry. A mismatch
@@ -96,12 +100,13 @@ impl Default for MemoConfig {
     }
 }
 
-/// A per-shard, per-generation cache of route walk outcomes.
+/// A per-shard cache of route walk outcomes, keyed by route slot.
 ///
 /// Slots are indexed by `RouteId::index()`; the final shim bytes of
-/// all routes live in one flat buffer (`shim_len` bytes per slot) so
-/// `invalidate` reuses both allocations across generation swaps — no
-/// per-swap `Vec` churn even under `--churn rate=1000`.
+/// all routes live in one flat buffer (`shim_len` bytes per slot), so
+/// neither [`invalidate`](Self::invalidate) nor
+/// [`invalidate_slot`](Self::invalidate_slot) allocates once the table
+/// has reached its largest route set.
 #[derive(Debug)]
 pub struct MemoTable {
     shim_len: usize,
@@ -126,15 +131,25 @@ impl MemoTable {
     }
 
     /// Drops every cached entry and resizes for a route set of
-    /// `route_count` slots, reusing the existing allocations. Called
-    /// once per observed generation swap (and on supervised worker
-    /// restart, where cheap re-warming beats reasoning about a
-    /// half-poisoned cache).
+    /// `route_count` slots, reusing the existing allocations. Called on
+    /// supervised worker restart, where cheap re-warming beats
+    /// reasoning about a half-poisoned cache.
     pub fn invalidate(&mut self, route_count: usize) {
         self.slots.clear();
         self.slots.resize(route_count, None);
         self.shims.clear();
         self.shims.resize(route_count * self.shim_len, 0);
+    }
+
+    /// Drops slot `index`'s entry, first provisioning the table up to
+    /// `index` when a swapped-in route set is longer than any before.
+    /// Called for each slot whose route a generation swap changed.
+    pub fn invalidate_slot(&mut self, index: usize) {
+        if index >= self.slots.len() {
+            self.slots.resize(index + 1, None);
+            self.shims.resize((index + 1) * self.shim_len, 0);
+        }
+        self.slots[index] = None;
     }
 
     /// Number of route slots currently provisioned.
@@ -238,6 +253,26 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.slots.capacity(), slots_cap);
         assert_eq!(t.shims.capacity(), shims_cap);
+    }
+
+    #[test]
+    fn invalidate_slot_drops_one_entry_and_provisions_new_slots() {
+        let mut t = MemoTable::new(MemoConfig::default(), 2);
+        t.invalidate(2);
+        t.record(0, MemoVerdict::Delivered { hops: 3 }, &[1, 1]);
+        t.record(1, MemoVerdict::Delivered { hops: 4 }, &[2, 2]);
+        t.invalidate_slot(1);
+        assert_eq!(
+            t.lookup_verdict(0),
+            Some(MemoVerdict::Delivered { hops: 3 }),
+            "other slots keep their entries"
+        );
+        assert_eq!(t.lookup_verdict(1), None);
+        // A slot beyond the table grows it, shims and all.
+        t.invalidate_slot(2);
+        assert_eq!(t.len(), 3);
+        t.record(2, MemoVerdict::Loop { trigger: 0, hop: 3 }, &[7, 7]);
+        assert!(t.shim_matches(2, &[7, 7]));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! Validity is part of compilation: [`CompiledRoute::first_invalid_hop`]
 //! pre-computes, against a given pipeline count, the first hop that
 //! would reference an unknown switch. Workers evaluate it once per
-//! route at startup, so the hot walk indexes the pipeline array
-//! directly instead of re-validating every hop of every packet
-//! (`route_errors` becomes a pre-computed cold path).
+//! route — at startup, and for each route a generation swap brings
+//! into a slot — so the hot walk indexes the pipeline array directly
+//! instead of re-validating every hop of every packet (`route_errors`
+//! becomes a pre-computed cold path).
 //!
 //! [`EnginePacket`]: crate::packet::EnginePacket
 
@@ -159,20 +160,9 @@ impl RouteSet {
         self.routes.iter()
     }
 
-    /// Per-route first-invalid-hop table against a pipeline count,
-    /// indexed by [`RouteId::index`]; `u32::MAX` marks a fully valid
-    /// route. Workers evaluate this once at startup so the packet walk
-    /// never re-checks node bounds.
-    pub fn first_invalid_hops(&self, node_count: usize) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.first_invalid_hops_into(node_count, &mut out);
-        out
-    }
-
-    /// [`RouteSet::first_invalid_hops`] into a caller-owned buffer,
-    /// reusing its allocation. Workers rebuild the table on every
-    /// observed generation swap; under a `--churn` storm this keeps the
-    /// rebuild allocation-free.
+    /// The per-route first-invalid-hop table against a pipeline count,
+    /// indexed by [`RouteId::index`], into a caller-owned buffer (its
+    /// allocation is reused); `u32::MAX` marks a fully valid route.
     pub fn first_invalid_hops_into(&self, node_count: usize, out: &mut Vec<u32>) {
         out.clear();
         out.extend(
@@ -267,7 +257,8 @@ mod tests {
         assert_eq!(set.get(bad_cycle).first_invalid_hop(3), Some(3));
         // The same route against a bigger node space is valid.
         assert_eq!(set.get(bad_pre).first_invalid_hop(100), None);
-        let table = set.first_invalid_hops(3);
+        let mut table = vec![7; 5];
+        set.first_invalid_hops_into(3, &mut table);
         assert_eq!(table, vec![u32::MAX, 1, 3]);
     }
 

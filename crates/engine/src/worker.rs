@@ -30,19 +30,22 @@
 //! frame therefore starts counting at its first replayed hop.
 //!
 //! **Interned routes, swappable mid-run.** Packets carry a
-//! [`RouteId`](crate::route::RouteId) into the current route-table
+//! [`RouteId`] into the current route-table
 //! *generation*: the worker holds a [`RouteReader`] onto the engine's
 //! [`EpochRouteTable`](crate::epoch::EpochRouteTable) and polls it once
 //! per batch — one atomic load when nothing changed, a pointer swap
 //! when the control plane published new routes. Route validity is
-//! settled once per *generation*: on every swap the worker re-evaluates
-//! [`RouteSet::first_invalid_hops`](crate::route::RouteSet::first_invalid_hops)
-//! against its own pipeline count, so the per-hop walk compares one
-//! integer instead of bounds-checking a map lookup — `route_errors` is
-//! decided before the first packet of each generation, and the cached
-//! table can never go stale across a swap. Detections against a
-//! generation published after startup also record **detection
-//! latency** (publish → first detection on this shard).
+//! settled once per *route*: the worker keeps each slot's
+//! [`CompiledRoute::first_invalid_hop`] against its own pipeline count,
+//! so the per-hop walk compares one integer instead of bounds-checking
+//! a map lookup. On a swap it compares every slot of the new set with
+//! the set [`RouteReader::refresh`] handed back, and re-validates only
+//! the slots whose route differs (or that the old set lacked) —
+//! `route_errors` is decided before the first packet on a changed
+//! route, and the cached table can never go stale across a swap.
+//! Detections against a generation published after startup also
+//! record **detection latency** (publish → first detection on this
+//! shard).
 //!
 //! **Report once per flow.** A trapped flow is detected packet after
 //! packet, but the controller needs one report per loop. Each shard
@@ -69,11 +72,13 @@
 //! `(verdict, final shim)`, every later packet settles from the cached
 //! entry in one lookup, and a configurable 1-in-N sampler re-walks
 //! hits to cross-check the cache bit-exactly (`memo_divergence` counts
-//! any mismatch). The table is invalidated alongside `first_invalid_hops`
-//! on every generation swap — both caches are keyed to the reader's
-//! pinned generation — so a swapped-in route reusing a slot never
-//! serves a stale verdict. Replayed frames and faulted packets always
-//! walk.
+//! any mismatch). An entry is a pure function of its route, so it is
+//! keyed by route like the validity table: a swap drops the entry of
+//! each slot whose route changed, in the same pass that re-validates
+//! it, and every other entry keeps serving. A swapped-in route reusing
+//! a slot never serves a stale verdict, and a flow whose route
+//! survived the swap does not walk again. Replayed frames and faulted
+//! packets always walk.
 //!
 //! **One walk per packet.** Every packet resolves its route once, then
 //! settles from either the memo or a single walk, in batch order;
@@ -101,7 +106,7 @@ use crate::memo::{MemoConfig, MemoTable, MemoVerdict};
 use crate::metrics::{thread_cpu_ns, ShardMetrics};
 use crate::packet::EnginePacket;
 use crate::ring::RingConsumer;
-use crate::route::CompiledRoute;
+use crate::route::{CompiledRoute, RouteId, RouteSet};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -229,6 +234,39 @@ impl ReportTable {
     }
 }
 
+/// Re-keys a worker's per-slot caches from route set `old` to `new`.
+/// A slot is stale when its route differs from `old`'s, or when `old`
+/// has no such slot; each stale slot gets its `err_hops` entry
+/// recomputed against `node_count` pipelines and its memo entry
+/// dropped (a set longer than any before is provisioned here). Every
+/// other entry was computed for the very route the slot still holds,
+/// and the pipelines and params are fixed for a run, so it stays
+/// exact — whatever generations were skipped in between. A republished
+/// set costs nothing.
+fn rekey(
+    old: &RouteSet,
+    new: &RouteSet,
+    node_count: usize,
+    err_hops: &mut Vec<u32>,
+    mut memo: Option<&mut MemoTable>,
+) {
+    if std::ptr::eq(old, new) {
+        return;
+    }
+    if err_hops.len() < new.len() {
+        err_hops.resize(new.len(), ROUTE_VALID);
+    }
+    for (slot, route) in new.iter().enumerate() {
+        if old.get_checked(RouteId::from_index(slot)) == Some(route) {
+            continue;
+        }
+        err_hops[slot] = route.first_invalid_hop(node_count).unwrap_or(ROUTE_VALID);
+        if let Some(table) = memo.as_deref_mut() {
+            table.invalidate_slot(slot);
+        }
+    }
+}
+
 /// One shard's processing loop.
 pub struct ShardWorker {
     /// Shard index (for event attribution).
@@ -275,27 +313,29 @@ impl ShardWorker {
             install_quiet_panic_hook();
         }
         let cpu_start = thread_cpu_ns();
-        // Route validity, settled once *per generation*: err_hops[route]
-        // is the first hop that would leave the pipeline array
-        // (ROUTE_VALID when none does). The hot walk compares against
-        // this instead of re-validating every hop of every packet; the
-        // table is rebuilt on every route-table swap, keyed to the
-        // reader's pinned generation — a swapped-in route reusing a
-        // `RouteId` slot with a different hop count must never be
-        // judged by the old generation's validity.
+        // Per-slot caches keyed by route: err_hops[slot] is the first
+        // hop of the slot's route that would leave the pipeline array
+        // (ROUTE_VALID when none does), so the hot walk compares one
+        // integer instead of re-validating every hop of every packet;
+        // the memo table (when enabled) holds the slot's walk outcome.
+        // Both are filled the way every swap re-keys them: `rekey`
+        // from the empty set. The memo is sized for the initial set up
+        // front: grown slot by slot, the memoized perfbench workload
+        // ran 4–5% slower on a 2-vCPU host.
         let mut err_hops: Vec<u32> = Vec::new();
-        self.routes
-            .routes()
-            .first_invalid_hops_into(self.pipelines.len(), &mut err_hops);
-        let mut scratch = self.scratch();
-        // The memo table shares err_hops' invalidation discipline: both
-        // are generation-keyed caches rebuilt at the same batch
-        // boundary, with allocations reused across swaps.
         let mut memo: Option<MemoTable> = self.memo.map(|cfg| {
             let mut table = MemoTable::new(cfg, self.layout.total_bytes());
             table.invalidate(self.routes.routes().len());
             table
         });
+        rekey(
+            &RouteSet::default(),
+            self.routes.routes(),
+            self.pipelines.len(),
+            &mut err_hops,
+            memo.as_mut(),
+        );
+        let mut scratch = self.scratch();
         let mut batch: Vec<EnginePacket> = Vec::with_capacity(self.batch_size);
         let mut pfaults: Vec<PacketFault> = Vec::new();
         let mut faults = self.faults.take();
@@ -313,16 +353,15 @@ impl ShardWorker {
             }
             // Batch boundary: adopt any newly published route-table
             // generation. One atomic load when nothing changed; on a
-            // swap, re-key the validity cache to the new generation.
-            if self.routes.refresh().is_some() {
-                self.routes
-                    .routes()
-                    .first_invalid_hops_into(self.pipelines.len(), &mut err_hops);
-                if let Some(table) = memo.as_mut() {
-                    // Same keying as err_hops: entries from the old
-                    // generation must never answer for a reused slot.
-                    table.invalidate(self.routes.routes().len());
-                }
+            // swap, re-key the slots whose route changed.
+            if let Some(replaced) = self.routes.refresh() {
+                rekey(
+                    &replaced,
+                    self.routes.routes(),
+                    self.pipelines.len(),
+                    &mut err_hops,
+                    memo.as_mut(),
+                );
                 self.metrics
                     .route_swaps_observed
                     .fetch_add(1, Ordering::Relaxed);
@@ -462,8 +501,8 @@ impl ShardWorker {
             self.metrics.route_errors.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        // In bounds: `err_hops` is rebuilt from the same generation the
-        // checked lookup just succeeded against.
+        // In bounds: `rekey` keeps `err_hops` covering every slot of
+        // the generation the checked lookup just succeeded against.
         let idx = packet.route.index();
         let err_hop = err_hops[idx];
         let end = match (packet.frame.as_mut(), memo.as_mut()) {
@@ -1282,7 +1321,7 @@ mod tests {
     fn route_swap_never_serves_a_stale_memo_verdict() {
         // Gen 1 caches `Delivered` for slot 0. Gen 2 swaps the SAME
         // slot to a micro-loop with sampling disabled (`sample_every:
-        // 0`), so only generation-keyed invalidation stands between
+        // 0`), so only route-keyed invalidation stands between
         // post-swap packets and the stale cached verdict. A stale hit
         // would count them delivered and raise no loop events.
         let (mut worker, producer, ev_rx) = worker_fixture(6, 64);
@@ -1318,6 +1357,70 @@ mod tests {
             "the swap forced at least one re-warm miss"
         );
         assert_eq!(ev_rx.try_iter().count(), 3, "detections 1, 2 and 4 report");
+    }
+
+    #[test]
+    fn a_swap_rekeys_only_the_slots_whose_route_changed() {
+        // Gen 1: two valid routes, both warmed into the memo. Gen 2
+        // keeps slot 0's route, swaps slot 1 to a route through an
+        // unknown node and adds slot 2, a micro-loop. Slot 0 must keep
+        // serving its cached verdict with no new miss; slot 1 must be
+        // re-validated (route errors, never the stale `Delivered`);
+        // slot 2 is provisioned by the same pass. Sampling is off, so
+        // only the re-keying decides what each slot serves.
+        let (mut worker, producer, _ev_rx) = worker_fixture(6, 64);
+        let table = Arc::new(EpochRouteTable::new(RouteSet::from_specs(&[
+            PathSpec::linear(vec![0, 1, 2]),
+            PathSpec::linear(vec![3, 4]),
+        ])));
+        worker.routes = table.reader();
+        worker.memo = Some(MemoConfig { sample_every: 0 });
+        let metrics = worker.metrics.clone();
+        for seq in 0..4 {
+            producer.push(packet(seq, RouteId::from_index(seq as usize % 2)));
+        }
+        let handle = std::thread::spawn(move || worker.run());
+        wait_for_packets(&metrics, 4);
+        let warm = metrics.snapshot();
+        assert_eq!((warm.memo_misses, warm.memo_hits), (2, 2));
+        table.publish(RouteSet::from_specs(&[
+            PathSpec::linear(vec![0, 1, 2]),
+            PathSpec::linear(vec![3, 99]),
+            PathSpec::looping(vec![5], vec![4, 3]),
+        ]));
+        for seq in 4..10 {
+            producer.push(packet(seq, RouteId::from_index(seq as usize % 3)));
+        }
+        drop(producer);
+        handle.join().unwrap();
+        let snap = metrics.snapshot();
+        assert_eq!(snap.packets, 10);
+        assert_eq!(snap.route_swaps_observed, 1);
+        assert_eq!(
+            snap.memo_misses - warm.memo_misses,
+            2,
+            "only the changed slot and the new one re-warm"
+        );
+        assert_eq!(
+            snap.delivered, 6,
+            "slot 0 delivers on both sides of the swap"
+        );
+        assert_eq!(snap.route_errors, 2, "slot 1 was re-validated");
+        assert_eq!(snap.loop_events, 2, "slot 2 was provisioned and walks");
+    }
+
+    #[test]
+    fn rekey_touches_only_stale_slots() {
+        let set = RouteSet::from_specs(&[PathSpec::linear(vec![0, 9])]);
+        // A deliberately wrong entry shows whether rekey wrote it.
+        let mut err_hops = vec![7];
+        rekey(&set, &set, 4, &mut err_hops, None);
+        assert_eq!(err_hops, [7], "a republished set costs nothing");
+        let equal = RouteSet::from_specs(&[PathSpec::linear(vec![0, 9])]);
+        rekey(&set, &equal, 4, &mut err_hops, None);
+        assert_eq!(err_hops, [7], "an equal route is not stale");
+        rekey(&RouteSet::default(), &equal, 4, &mut err_hops, None);
+        assert_eq!(err_hops, [1], "a slot the old set lacked is validated");
     }
 
     #[test]
@@ -1644,7 +1747,7 @@ mod tests {
             };
             let routes = RouteSet::from_specs(&[spec]);
             let route = routes.get(RouteId::from_index(0));
-            let err_hop = routes.first_invalid_hops(nodes)[0];
+            let err_hop = route.first_invalid_hop(nodes).unwrap_or(ROUTE_VALID);
 
             let mut frame = build_frame(
                 &layout,

@@ -140,9 +140,11 @@ fn churn_storm_with_memo_keeps_full_recall_and_never_diverges() {
     // The worst case for the cache: a control-plane update storm swaps
     // route generations mid-traffic, reusing `RouteId` slots for
     // entirely different paths. Recall against the live oracle must
-    // stay 1.0 and the sampled cross-checks must never fire.
+    // stay 1.0 and the sampled cross-checks — one in two hits, many of
+    // them on entries that survived a swap — must never fire.
     let plan = ChurnPlan::parse("rate=500,seed=7,links=3").unwrap();
-    let mut source = ChurnSource::new(ring_topology(16), &plan, 16, 100_000);
+    let flows = 16;
+    let mut source = ChurnSource::new(ring_topology(16), &plan, flows, 100_000);
     let engine = Engine::new(
         EngineConfig {
             shards: 2,
@@ -177,9 +179,13 @@ fn churn_storm_with_memo_keeps_full_recall_and_never_diverges() {
     assert_eq!(report.memo_divergence(), 0);
     assert!(report.memo_hits() > 0, "steady state hit the cache");
     assert!(report.memo_sampled_walks() > 0, "cross-checks actually ran");
+    // A flow is pinned to one shard and every miss records its slot,
+    // so a slot misses once, then once more per route change at most.
+    let bound = flows as u64 + source.routes_changed();
     assert!(
-        report.memo_misses() > 1,
-        "each observed generation re-warms the cache"
+        report.memo_misses() <= bound,
+        "{} misses exceed flows + routes changed = {bound}",
+        report.memo_misses()
     );
 }
 
