@@ -415,6 +415,26 @@ fn detection_recall(report: &EngineReport, looping: &[FlowKey]) -> (f64, usize) 
     (hits as f64 / looping.len() as f64, hits)
 }
 
+/// Exits 1 with one stderr line naming every accounting identity the
+/// report breaks: packets, events or per-shard outcomes.
+fn accounting_gate(report: &EngineReport) {
+    let broken: Vec<&str> = [
+        ("accounted", report.accounted()),
+        ("events_accounted", report.events_accounted()),
+        ("outcomes_accounted", report.outcomes_accounted()),
+    ]
+    .into_iter()
+    .filter_map(|(name, holds)| (!holds).then_some(name))
+    .collect();
+    if !broken.is_empty() {
+        eprintln!(
+            "unroller-engine: internal accounting mismatch: {}",
+            broken.join(", ")
+        );
+        std::process::exit(1);
+    }
+}
+
 /// Prints the memo layer's counters and exits 1 on any sampled
 /// divergence — a cross-check mismatch means the cache served a verdict
 /// the full walk disagrees with, which is always a bug, never a data
@@ -760,10 +780,7 @@ fn main() {
         if let Some(out) = &opts.out {
             write_report(out, rendered.as_bytes());
         }
-        if !report.accounted() {
-            eprintln!("unroller-engine: internal accounting mismatch");
-            std::process::exit(1);
-        }
+        accounting_gate(&report);
         memo_gate(&report);
         if opts.expect_loop && (!report.loop_detected() || loops_after_swap == 0) {
             eprintln!("unroller-engine: expected a loop detection on a post-swap generation");
@@ -886,10 +903,7 @@ fn main() {
         if let Some(out) = &opts.out {
             write_report(out, rendered.as_bytes());
         }
-        if !report.accounted() {
-            eprintln!("unroller-engine: internal accounting mismatch");
-            std::process::exit(1);
-        }
+        accounting_gate(&report);
         memo_gate(&report);
         if let Some((_, _, agrees)) = &oracle {
             if !agrees {

@@ -15,9 +15,11 @@
 //! * **Bounded memory** — every ring has a fixed capacity; when full,
 //!   the configured [`FullPolicy`] drops (counted) or blocks. Nothing
 //!   queues unboundedly.
-//! * **No hot-path locks** — workers own their pipelines and metrics;
-//!   the only cross-thread traffic is ring hand-off and the (rare)
-//!   loop-event channel.
+//! * **No per-packet locks** — workers share their pipelines read-only
+//!   and tally their counters locally, adding them to the shard's
+//!   metrics once per batch; the only cross-thread traffic is the ring
+//!   hand-off, one uncontended lock per batch on each side, and the
+//!   (rare) loop-event channel.
 //! * **Total accounting, even under faults** — every offered packet is
 //!   enqueued, dropped at a full ring, shed under overload, or
 //!   quarantined at ingress; every enqueued packet is processed or
@@ -26,6 +28,8 @@
 //!   [`FaultPlan`]. Every detection is reported or suppressed by its
 //!   shard, and every reported event reaches the aggregator unless a
 //!   fault dropped it; [`EngineReport::events_accounted`] checks that.
+//!   Every processed packet ends in exactly one outcome;
+//!   [`EngineReport::outcomes_accounted`] checks that.
 
 use crate::aggregate::{aggregate_with, AggregatorReport, LoopEvent};
 use crate::epoch::EpochRouteTable;
@@ -345,6 +349,16 @@ impl EngineReport {
         shards_split && self.aggregator.events_received + lost == sent
     }
 
+    /// Every processed packet ended in exactly one outcome: on each
+    /// shard `packets == delivered + ttl_dropped + loop_events +
+    /// route_errors + frame_errors`. Holds under an active fault plan.
+    pub fn outcomes_accounted(&self) -> bool {
+        self.shard_snapshots.iter().all(|s| {
+            s.packets
+                == s.delivered + s.ttl_dropped + s.loop_events + s.route_errors + s.frame_errors
+        })
+    }
+
     /// Serializes the full report.
     pub fn to_json(&self) -> Json {
         let mut obj = Json::object();
@@ -366,6 +380,7 @@ impl EngineReport {
         obj.set("loop_detected", Json::Bool(self.loop_detected()));
         obj.set("accounted", Json::Bool(self.accounted()));
         obj.set("events_accounted", Json::Bool(self.events_accounted()));
+        obj.set("outcomes_accounted", Json::Bool(self.outcomes_accounted()));
         let mut memo = Json::object();
         memo.set("enabled", Json::Bool(self.memo_enabled));
         memo.set("hits", Json::UInt(self.memo_hits()));
@@ -723,7 +738,8 @@ pub fn shard_of(flow: &FlowKey, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::SyntheticSource;
+    use crate::packet::PathSpec;
+    use crate::source::{ReplaySource, SyntheticSource};
 
     fn ids(n: u32) -> Vec<SwitchId> {
         (0..n).map(|i| 1000 + i).collect()
@@ -826,6 +842,82 @@ mod tests {
     }
 
     #[test]
+    fn outcome_identity_catches_an_off_by_one_shard() {
+        let engine = Engine::new(
+            EngineConfig {
+                shards: 2,
+                full_policy: FullPolicy::Block,
+                ..EngineConfig::default()
+            },
+            &ids(64),
+        )
+        .unwrap();
+        let mut source = SyntheticSource::new(64, 16, 4_000, 4, 500, 10);
+        let mut report = engine.run(&mut source).expect("fault-free run");
+        assert!(report.outcomes_accounted(), "{report:?}");
+        report.shard_snapshots[1].delivered += 1;
+        assert!(
+            !report.outcomes_accounted(),
+            "one extra delivery on one shard"
+        );
+    }
+
+    #[test]
+    fn panics_mid_batch_keep_the_batch_outcomes() {
+        // 12 flows on one 4-hop route; every third flips to a micro-loop
+        // at packet 200. A restart resumes its batch after the lost
+        // packet, so the outcomes of the packets before it must survive.
+        let flows: Vec<_> = (0..12u32)
+            .map(|f| {
+                let looped = (f % 3 == 0).then(|| PathSpec::looping(vec![0], vec![1, 2]));
+                (
+                    FlowKey::synthetic(0, 3, f),
+                    PathSpec::linear(vec![0, 1, 2, 3]),
+                    looped,
+                )
+            })
+            .collect();
+        let run = |faults: FaultPlan| {
+            let engine = Engine::new(
+                EngineConfig {
+                    shards: 1,
+                    full_policy: FullPolicy::Block,
+                    faults,
+                    ..EngineConfig::default()
+                },
+                &ids(8),
+            )
+            .unwrap();
+            let mut source = ReplaySource::from_paths(flows.clone(), 6_000, Some(200));
+            engine.run(&mut source).expect("supervised run completes")
+        };
+        let clean = &run(FaultPlan::default()).shard_snapshots[0];
+        // Every detection of the one looping route ends on the same hop.
+        let loop_hops = (clean.hops - 4 * clean.delivered) / clean.loop_events;
+        assert_eq!(
+            clean.hops,
+            4 * clean.delivered + loop_hops * clean.loop_events
+        );
+
+        let report = run(FaultPlan {
+            seed: 3,
+            panic_rate: 0.005,
+            ..FaultPlan::default()
+        });
+        assert!(report.restarts() >= 10, "{}", report.restarts());
+        assert!(report.accounted(), "{report:?}");
+        assert!(report.events_accounted(), "{report:?}");
+        assert!(report.outcomes_accounted(), "{report:?}");
+        let shard = &report.shard_snapshots[0];
+        assert!(shard.loop_events > 0 && shard.delivered > 0);
+        assert_eq!(
+            shard.hops,
+            4 * shard.delivered + loop_hops * shard.loop_events,
+            "hops are exactly those the processed packets walked"
+        );
+    }
+
+    #[test]
     fn run_report_serializes() {
         let engine = Engine::new(EngineConfig::default(), &ids(16)).unwrap();
         let mut source = SyntheticSource::new(16, 4, 100, 0, 0, 3);
@@ -842,6 +934,7 @@ mod tests {
             "watchdog",
             "memo",
             "sampled_walks",
+            "outcomes_accounted",
         ] {
             assert!(rendered.contains(key), "missing {key}");
         }

@@ -7,14 +7,16 @@
 //!
 //! Flows are RSS-hashed onto worker shards ([`flow`]), each shard pulls
 //! batches off a bounded SPSC ring with explicit backpressure
-//! accounting ([`ring`]), walks packets through its private clone of
-//! the per-switch pipelines ([`worker`]), and funnels loop events to an
+//! accounting, whose lock each side takes once per batch ([`ring`]),
+//! walks packets through the per-switch pipelines every shard shares
+//! read-only ([`worker`]), and funnels loop events to an
 //! aggregator that dedupes per flow and hands localized reports to the
 //! `unroller-control` controller ([`aggregate`]). Each shard suppresses
 //! a trapped flow's repeat detections first, in a fixed-size report
 //! table that re-reports on a back-off schedule; the aggregator's
 //! per-flow dedupe behind it stays exact. A metrics layer
-//! ([`metrics`]) keeps per-shard counters and latency histograms. The
+//! ([`metrics`]) keeps per-shard counters, which each worker tallies
+//! locally and adds once per batch, and latency histograms. The
 //! engine's throughput, CPU cost per packet and detection latency are
 //! measured end to end by the `perfbench` package at the repository
 //! root (`python3 perfbench/run.py`).
@@ -42,6 +44,8 @@
 //! let report = engine.run(&mut source).unwrap();
 //! assert!(report.loop_detected());
 //! assert!(report.accounted());
+//! assert!(report.events_accounted());
+//! assert!(report.outcomes_accounted());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,9 +1,12 @@
 //! Live engine metrics: lock-free counters, fixed-bucket histograms,
 //! and per-thread CPU-time measurement.
 //!
-//! Every hot-path update is a relaxed atomic add on shard-owned
-//! structures — workers never take a lock and never contend with the
-//! snapshot reader. Histograms use power-of-two buckets (65 of them
+//! Counters are atomics on shard-owned structures. A worker tallies its
+//! per-packet counters in plain integers and adds each nonzero count
+//! here once per batch, outcomes before `packets`; only rare fault
+//! counters are added as they happen. Workers never take a lock and
+//! never contend with the snapshot reader, and a live reader lags by
+//! at most one batch. Histograms use power-of-two buckets (65 of them
 //! cover the full `u64` range), so recording is a `leading_zeros` and
 //! one atomic increment; good enough to read batch-size and latency
 //! shape without per-sample allocation.
@@ -141,7 +144,9 @@ impl HistogramSnapshot {
 #[derive(Debug, Default)]
 pub struct ShardMetrics {
     /// Packets fully processed (delivered + ttl_dropped + loop_events +
-    /// route_errors + frame_errors).
+    /// route_errors + frame_errors). The worker adds each batch here
+    /// with `Release` after that batch's outcome counters, so a reader
+    /// that loads it with `Acquire` sees those outcomes too.
     pub packets: AtomicU64,
     /// Switch-hops executed across all packets.
     pub hops: AtomicU64,
@@ -219,9 +224,6 @@ pub struct ShardMetrics {
     /// Sampled walks whose verdict or final shim differed from the
     /// cached entry. Must stay 0; CI treats any divergence as fatal.
     pub memo_divergence: AtomicU64,
-    /// Highest generation a detection latency was recorded for
-    /// (worker-internal dedup state, not exported).
-    pub latency_gen: AtomicU64,
 }
 
 /// A point-in-time copy of one shard's metrics.
@@ -290,10 +292,12 @@ pub struct ShardSnapshot {
 }
 
 impl ShardMetrics {
-    /// Copies every counter and histogram.
+    /// Copies every counter and histogram. `packets` is read first,
+    /// with `Acquire`, so the outcome counters cover every batch it
+    /// counts.
     pub fn snapshot(&self) -> ShardSnapshot {
         ShardSnapshot {
-            packets: self.packets.load(Ordering::Relaxed),
+            packets: self.packets.load(Ordering::Acquire),
             hops: self.hops.load(Ordering::Relaxed),
             delivered: self.delivered.load(Ordering::Relaxed),
             ttl_dropped: self.ttl_dropped.load(Ordering::Relaxed),
@@ -331,7 +335,7 @@ impl ShardMetrics {
     /// consumed count stops moving while its ring still holds packets
     /// is stalled, whatever the cause.
     pub fn consumed(&self) -> u64 {
-        self.packets.load(Ordering::Relaxed) + self.panic_lost.load(Ordering::Relaxed)
+        self.packets.load(Ordering::Acquire) + self.panic_lost.load(Ordering::Relaxed)
     }
 }
 

@@ -8,25 +8,25 @@
 //! silently lost. That accounting is what lets the engine report
 //! state drop rates instead of implying zero by omission.
 //!
-//! The implementation is a power-of-two slot array with head/tail
-//! indices on **separate cache lines** ([`CachePadded`]) so the
-//! producer's publishes never invalidate the line the consumer spins
-//! on, and vice versa. Both sides keep a *cached* copy of the other
-//! side's index, refreshed only when the ring looks full (producer) or
-//! empty (consumer): in steady state an enqueue or a drain touches no
-//! shared line beyond its own index publish. [`RingProducer::push_batch`]
-//! amortizes even that publish — one `Release` store per burst instead
-//! of per packet.
+//! The queue is one `Mutex<VecDeque<T>>` per ring, allocated once at
+//! the ring's capacity and never grown (the crate forbids `unsafe`, so a
+//! lock stands in for the `UnsafeCell` slots of a lock-free ring). Each
+//! side takes it once per *batch*, not once per item:
+//! [`RingProducer::push_batch`] moves as much of a burst as fits under
+//! one lock, and [`RingConsumer::recv_batch`] drains up to `max` items
+//! under one lock. With one producer and one consumer the lock is
+//! uncontended except when both sides arrive at once.
 //!
 //! Blocking (an empty consumer, or a full ring under
-//! [`FullPolicy::Block`]) spins briefly, then parks on a condvar so
-//! starved workers consume no CPU — which keeps the per-shard CPU-time
-//! capacity metric honest. Wakeups are flagged: the fast path pays one
-//! relaxed load of a rarely-written flag, and a short park timeout
-//! backstops the (benign, bounded) flag race instead of a `SeqCst`
-//! fence per push.
+//! [`FullPolicy::Block`]) spins briefly on a length mirror kept beside
+//! the queue, then parks on a condvar so starved workers consume no CPU
+//! — which keeps the per-shard CPU-time capacity metric honest. A side
+//! sets its parked flag and re-checks the queue while holding the
+//! queue lock, and the other side reads that flag under the same lock
+//! after moving items, so a wakeup is never lost; the fast path pays
+//! no notify when nobody is parked.
 
-use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -39,8 +39,8 @@ pub struct CachePadded<T>(pub T);
 
 /// Spin iterations before a blocked side parks on the condvar.
 const SPINS: u32 = 64;
-/// Park timeout: bounds both teardown latency and the benign
-/// flagged-wakeup race (a missed notify costs at most one timeout).
+/// Park timeout: a parked side re-checks the queue at least this often.
+/// No wakeup is lost (see the module docs), so this is only a backstop.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// What the producer does when the ring is full.
@@ -136,29 +136,27 @@ impl RingCounters {
     }
 }
 
-/// The state both halves share. Slots are `Mutex<Option<T>>` — the
-/// crate forbids `unsafe`, so this stands in for the `UnsafeCell` slot
-/// a lock-free ring would use; SPSC hand-off means every slot lock is
-/// uncontended in steady state (the two sides only meet on a slot when
-/// the ring is completely full or empty).
+/// The state both halves share.
 #[derive(Debug)]
 struct RingShared<T> {
-    slots: Box<[Mutex<Option<T>>]>,
-    mask: usize,
-    /// Logical capacity (may be less than `slots.len()`, which is the
-    /// next power of two).
+    /// The items in flight, oldest first. Allocated with `capacity`
+    /// slots; a push moves at most `capacity - len` items, so it never
+    /// grows.
+    queue: Mutex<VecDeque<T>>,
+    /// Logical capacity in items.
     capacity: usize,
-    /// Producer publish index: slots `[head, tail)` are full.
-    tail: CachePadded<AtomicUsize>,
-    /// Consumer index: the next slot to read.
-    head: CachePadded<AtomicUsize>,
-    /// Producer dropped: no more items will ever arrive.
+    /// Mirror of `queue.len()`, stored under the lock after every move:
+    /// what a blocked side spins on before taking the lock. Only a
+    /// hint — every decision is re-made under the lock.
+    len: AtomicUsize,
+    /// Producer dropped: no more items will ever arrive. Set under the
+    /// lock.
     closed: AtomicBool,
-    /// Consumer dropped: pushes can only fail.
+    /// Consumer dropped: pushes can only fail. Set under the lock.
     consumer_gone: AtomicBool,
-    /// Park state: one mutex, one condvar per direction, and a flag per
-    /// direction so the fast path can skip the notify entirely.
-    park: Mutex<()>,
+    /// One condvar per direction, both on `queue`'s mutex, and a flag
+    /// per direction, set and cleared under that mutex, so a side that
+    /// moved items notifies only when the other side is parked.
     data_ready: Condvar,
     space_ready: Condvar,
     consumer_parked: AtomicBool,
@@ -166,31 +164,65 @@ struct RingShared<T> {
 }
 
 impl<T> RingShared<T> {
-    /// Locks a slot, riding through poisoning: a slot mutex can only be
-    /// poisoned if moving a `T` panicked mid-hand-off, and the item is
-    /// then accounted as lost by the supervised side — the ring itself
-    /// stays usable.
-    fn slot(&self, index: usize) -> MutexGuard<'_, Option<T>> {
-        match self.slots[index & self.mask].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    /// Locks the queue, riding through poisoning: no panic can strike
+    /// while the guard is held (moves into a preallocated queue neither
+    /// allocate nor run user code), so the queue is whole either way.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.queue
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Wakes the consumer if (and only if) it is parked.
-    fn wake_consumer(&self) {
-        if self.consumer_parked.load(Ordering::Relaxed) {
-            let _guard = self.park.lock();
-            self.data_ready.notify_all();
-        }
+    /// Parks on `ready` (guard released while waiting) with `parked`
+    /// raised, for at most [`PARK_TIMEOUT`]. The caller has re-checked,
+    /// under `queue`, that it must wait.
+    fn park(&self, queue: MutexGuard<'_, VecDeque<T>>, ready: &Condvar, parked: &AtomicBool) {
+        parked.store(true, Ordering::Relaxed);
+        let queue = match ready.wait_timeout(queue, PARK_TIMEOUT) {
+            Ok((g, _)) => g,
+            Err(poisoned) => poisoned.into_inner().0,
+        };
+        parked.store(false, Ordering::Relaxed);
+        drop(queue);
     }
 
-    /// Wakes the producer if (and only if) it is parked.
-    fn wake_producer(&self) {
-        if self.producer_parked.load(Ordering::Relaxed) {
-            let _guard = self.park.lock();
-            self.space_ready.notify_all();
+    /// Moves as many of `items` as fit, in order, under one lock, then
+    /// wakes a parked consumer. Returns how many moved.
+    fn push_from(&self, items: &mut impl ExactSizeIterator<Item = T>) -> usize {
+        let mut queue = self.lock();
+        let take = (self.capacity - queue.len()).min(items.len());
+        queue.extend(items.by_ref().take(take));
+        self.len.store(queue.len(), Ordering::Relaxed);
+        let wake = self.consumer_parked.load(Ordering::Relaxed);
+        drop(queue);
+        if wake {
+            self.data_ready.notify_one();
         }
+        take
+    }
+
+    /// Moves up to `max` items, oldest first, into `out` under one lock,
+    /// then wakes a parked producer. Returns how many moved.
+    fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
+        let mut queue = self.lock();
+        let take = queue.len().min(max);
+        out.extend(queue.drain(..take));
+        self.len.store(queue.len(), Ordering::Relaxed);
+        let wake = self.producer_parked.load(Ordering::Relaxed);
+        drop(queue);
+        if wake {
+            self.space_ready.notify_one();
+        }
+        take
+    }
+
+    /// Sets `flag` under the lock, then wakes the other side — how each
+    /// half announces its drop.
+    fn hang_up(&self, flag: &AtomicBool, ready: &Condvar) {
+        let queue = self.lock();
+        flag.store(true, Ordering::Release);
+        drop(queue);
+        ready.notify_all();
     }
 }
 
@@ -200,21 +232,12 @@ pub struct RingProducer<T> {
     shared: Arc<RingShared<T>>,
     counters: Arc<RingCounters>,
     policy: FullPolicy,
-    /// Producer-private copy of `tail` (published on enqueue).
-    tail: Cell<usize>,
-    /// Cached consumer index, refreshed only on apparent-full — the
-    /// steady-state enqueue never reads the consumer's cache line.
-    cached_head: Cell<usize>,
 }
 
 /// The consumer half of a ring (held by one worker shard).
 #[derive(Debug)]
 pub struct RingConsumer<T> {
     shared: Arc<RingShared<T>>,
-    /// Consumer-private copy of `head` (published on drain).
-    head: Cell<usize>,
-    /// Cached producer index, refreshed only on apparent-empty.
-    cached_tail: Cell<usize>,
 }
 
 /// Creates a bounded ring of the given capacity. The third return
@@ -226,16 +249,12 @@ pub fn ring<T>(
     policy: FullPolicy,
 ) -> (RingProducer<T>, RingConsumer<T>, Arc<RingCounters>) {
     assert!(capacity >= 1, "ring capacity must be at least 1");
-    let slots = capacity.next_power_of_two();
     let shared = Arc::new(RingShared {
-        slots: (0..slots).map(|_| Mutex::new(None)).collect(),
-        mask: slots - 1,
+        queue: Mutex::new(VecDeque::with_capacity(capacity)),
         capacity,
-        tail: CachePadded(AtomicUsize::new(0)),
-        head: CachePadded(AtomicUsize::new(0)),
+        len: AtomicUsize::new(0),
         closed: AtomicBool::new(false),
         consumer_gone: AtomicBool::new(false),
-        park: Mutex::new(()),
         data_ready: Condvar::new(),
         space_ready: Condvar::new(),
         consumer_parked: AtomicBool::new(false),
@@ -247,55 +266,24 @@ pub fn ring<T>(
             shared: shared.clone(),
             counters: counters.clone(),
             policy,
-            tail: Cell::new(0),
-            cached_head: Cell::new(0),
         },
-        RingConsumer {
-            shared,
-            head: Cell::new(0),
-            cached_tail: Cell::new(0),
-        },
+        RingConsumer { shared },
         counters,
     )
 }
 
 impl<T> RingProducer<T> {
-    /// Free slots as the producer sees them, refreshing the cached
-    /// consumer index only when the ring appears full.
-    fn free_slots(&self) -> usize {
-        let tail = self.tail.get();
-        let mut head = self.cached_head.get();
-        if tail - head >= self.shared.capacity {
-            head = self.shared.head.0.load(Ordering::Acquire);
-            self.cached_head.set(head);
-        }
-        self.shared.capacity - (tail - head)
-    }
-
-    /// Writes `item` into the next slot without publishing it.
-    fn stage(&self, item: T) {
-        let tail = self.tail.get();
-        *self.shared.slot(tail) = Some(item);
-        self.tail.set(tail + 1);
-    }
-
-    /// Publishes every staged slot and wakes a parked consumer.
-    fn publish(&self) {
-        self.shared.tail.0.store(self.tail.get(), Ordering::Release);
-        self.shared.wake_consumer();
-    }
-
-    /// Parks until the consumer frees a slot or dies. Returns `false`
-    /// when the consumer is gone.
+    /// Waits until the consumer frees a slot or dies: spins on the
+    /// length mirror, then parks. Returns `false` when the consumer is
+    /// gone.
     fn wait_for_space(&self) -> bool {
+        let shared = &*self.shared;
         let mut spins = 0u32;
         loop {
-            if self.shared.consumer_gone.load(Ordering::Acquire) {
+            if shared.consumer_gone.load(Ordering::Acquire) {
                 return false;
             }
-            let head = self.shared.head.0.load(Ordering::Acquire);
-            if self.tail.get() - head < self.shared.capacity {
-                self.cached_head.set(head);
+            if shared.len.load(Ordering::Relaxed) < shared.capacity {
                 return true;
             }
             if spins < SPINS {
@@ -303,13 +291,10 @@ impl<T> RingProducer<T> {
                 std::hint::spin_loop();
                 continue;
             }
-            let guard = match self.shared.park.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            self.shared.producer_parked.store(true, Ordering::Relaxed);
-            let _ = self.shared.space_ready.wait_timeout(guard, PARK_TIMEOUT);
-            self.shared.producer_parked.store(false, Ordering::Relaxed);
+            let queue = shared.lock();
+            if queue.len() == shared.capacity && !shared.consumer_gone.load(Ordering::Relaxed) {
+                shared.park(queue, &shared.space_ready, &shared.producer_parked);
+            }
         }
     }
 
@@ -324,87 +309,52 @@ impl<T> RingProducer<T> {
     /// can track ring saturation. Counter semantics are identical to
     /// [`RingProducer::push`].
     pub fn offer(&self, item: T) -> PushOutcome {
-        if self.shared.consumer_gone.load(Ordering::Acquire) {
-            self.counters.dropped_full.fetch_add(1, Ordering::Relaxed);
-            return PushOutcome::DroppedFull;
-        }
-        if self.free_slots() > 0 {
-            self.stage(item);
-            self.publish();
-            self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-            return PushOutcome::Enqueued;
-        }
-        match self.policy {
-            FullPolicy::Drop => {
-                self.counters.dropped_full.fetch_add(1, Ordering::Relaxed);
-                PushOutcome::DroppedFull
-            }
-            FullPolicy::Block => {
-                self.counters.stalls.fetch_add(1, Ordering::Relaxed);
-                // A blocking wait wakes with a failure if the consumer
-                // dies — bounded wait, never a deadlock.
-                if self.wait_for_space() {
-                    self.stage(item);
-                    self.publish();
-                    self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-                    PushOutcome::EnqueuedAfterStall
-                } else {
-                    self.counters.dropped_full.fetch_add(1, Ordering::Relaxed);
-                    PushOutcome::DroppedFull
-                }
-            }
+        let pushed = self.push_all(&mut std::iter::once(item));
+        if pushed.enqueued > 0 {
+            PushOutcome::Enqueued
+        } else if pushed.stalled > 0 {
+            PushOutcome::EnqueuedAfterStall
+        } else {
+            PushOutcome::DroppedFull
         }
     }
 
-    /// Enqueues a whole burst, draining `items`: slots are staged in
-    /// order and published with **one** index store (and at most one
-    /// wakeup check) for the entire batch. Under [`FullPolicy::Drop`] a
-    /// full ring drops the rest of the batch (counted); under
-    /// [`FullPolicy::Block`] the producer parks until space frees,
-    /// counting one stall per wait episode, and only a dead consumer
-    /// can make it drop the remainder.
+    /// Enqueues a whole burst, draining `items`: each round moves as
+    /// many items as fit, in order, under **one** lock with at most one
+    /// wakeup. Under [`FullPolicy::Drop`] a full ring drops the rest of
+    /// the batch (counted); under [`FullPolicy::Block`] the producer
+    /// waits until space frees, counting one stall per wait episode,
+    /// and only a dead consumer can make it drop the remainder.
     pub fn push_batch(&self, items: &mut Vec<T>) -> BatchPush {
+        self.push_all(&mut items.drain(..))
+    }
+
+    /// The push loop behind [`Self::offer`] and [`Self::push_batch`]:
+    /// whatever is left in `items` when it returns was dropped.
+    fn push_all(&self, items: &mut impl ExactSizeIterator<Item = T>) -> BatchPush {
         let mut result = BatchPush::default();
-        let mut drain = items.drain(..);
-        let mut remaining = drain.len();
         let mut stalled_round = false;
-        while remaining > 0 {
-            if self.shared.consumer_gone.load(Ordering::Acquire) {
-                break;
-            }
-            let free = self.free_slots();
-            if free == 0 {
-                match self.policy {
-                    FullPolicy::Drop => break,
-                    FullPolicy::Block => {
-                        self.counters.stalls.fetch_add(1, Ordering::Relaxed);
-                        stalled_round = true;
-                        if !self.wait_for_space() {
-                            break;
-                        }
-                        continue;
-                    }
+        while items.len() > 0 && !self.shared.consumer_gone.load(Ordering::Acquire) {
+            let moved = self.shared.push_from(items);
+            if moved == 0 {
+                if self.policy == FullPolicy::Drop {
+                    break;
                 }
+                self.counters.stalls.fetch_add(1, Ordering::Relaxed);
+                stalled_round = true;
+                if !self.wait_for_space() {
+                    break;
+                }
+                continue;
             }
-            let take = free.min(remaining);
-            for _ in 0..take {
-                // `drain` yields exactly `remaining` more items.
-                let Some(item) = drain.next() else { break };
-                self.stage(item);
-            }
-            self.publish();
-            remaining -= take;
             if stalled_round {
-                result.stalled += take;
+                result.stalled += moved;
             } else {
-                result.enqueued += take;
+                result.enqueued += moved;
             }
             stalled_round = false;
         }
-        // Anything left in the drain was dropped: count it, then let
-        // the drop of `drain` discard the items.
-        result.dropped = drain.len();
-        drop(drain);
+        result.dropped = items.len();
         self.counters
             .enqueued
             .fetch_add((result.enqueued + result.stalled) as u64, Ordering::Relaxed);
@@ -415,7 +365,7 @@ impl<T> RingProducer<T> {
     }
 
     /// Records a packet shed at ingress instead of being offered to
-    /// this ring (the item never touches the slots).
+    /// this ring (the item never touches the queue).
     pub fn record_shed(&self) {
         self.counters.shed.fetch_add(1, Ordering::Relaxed);
     }
@@ -423,80 +373,49 @@ impl<T> RingProducer<T> {
 
 impl<T> Drop for RingProducer<T> {
     fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Release);
-        self.shared.wake_consumer();
-        // Also wake unconditionally: the parked flag is advisory.
-        let _guard = self.shared.park.lock();
-        self.shared.data_ready.notify_all();
+        self.shared
+            .hang_up(&self.shared.closed, &self.shared.data_ready);
     }
 }
 
 impl<T> RingConsumer<T> {
-    /// Moves up to `max` available items into `out`, publishing the new
-    /// head once. Refreshes the cached producer index only when the
-    /// ring appears empty.
-    fn try_drain(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let head = self.head.get();
-        let mut tail = self.cached_tail.get();
-        if tail == head {
-            tail = self.shared.tail.0.load(Ordering::Acquire);
-            self.cached_tail.set(tail);
-        }
-        let take = (tail - head).min(max);
-        for i in 0..take {
-            let item = self
-                .shared
-                .slot(head + i)
-                .take()
-                .expect("published slot must hold an item");
-            out.push(item);
-        }
-        if take > 0 {
-            self.head.set(head + take);
-            self.shared.head.0.store(head + take, Ordering::Release);
-            self.shared.wake_producer();
-        }
-        take
-    }
-
-    /// Receives a batch of up to `max` items: blocks for the first,
-    /// then drains whatever else is immediately available. Returns
-    /// `false` once the ring is closed (producer dropped) *and* empty.
+    /// Receives a batch of up to `max` items: waits for the first,
+    /// then drains whatever else is immediately available, under one
+    /// lock. Returns `false` once the ring is closed (producer dropped)
+    /// *and* empty.
     pub fn recv_batch(&self, out: &mut Vec<T>, max: usize) -> bool {
         debug_assert!(max >= 1);
+        let shared = &*self.shared;
         let mut spins = 0u32;
         loop {
-            if self.try_drain(out, max) > 0 {
-                return true;
-            }
-            if self.shared.closed.load(Ordering::Acquire) {
-                // Items published before the close are still owed:
-                // force one last refresh past the cache.
-                self.cached_tail
-                    .set(self.shared.tail.0.load(Ordering::Acquire));
-                return self.try_drain(out, max) > 0;
+            // Acquire pairs with the close's Release: every item pushed
+            // before the close is in the queue the drain locks.
+            let closed = shared.closed.load(Ordering::Acquire);
+            if closed || shared.len.load(Ordering::Relaxed) > 0 {
+                if shared.drain_into(out, max) > 0 {
+                    return true;
+                }
+                if closed {
+                    return false;
+                }
             }
             if spins < SPINS {
                 spins += 1;
                 std::hint::spin_loop();
                 continue;
             }
-            let guard = match self.shared.park.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            self.shared.consumer_parked.store(true, Ordering::Relaxed);
-            let _ = self.shared.data_ready.wait_timeout(guard, PARK_TIMEOUT);
-            self.shared.consumer_parked.store(false, Ordering::Relaxed);
+            let queue = shared.lock();
+            if queue.is_empty() && !shared.closed.load(Ordering::Relaxed) {
+                shared.park(queue, &shared.data_ready, &shared.consumer_parked);
+            }
         }
     }
 }
 
 impl<T> Drop for RingConsumer<T> {
     fn drop(&mut self) {
-        self.shared.consumer_gone.store(true, Ordering::Release);
-        let _guard = self.shared.park.lock();
-        self.shared.space_ready.notify_all();
+        self.shared
+            .hang_up(&self.shared.consumer_gone, &self.shared.space_ready);
     }
 }
 

@@ -4,10 +4,12 @@
 //! Every shard reads the same per-switch [`UnrollerPipeline`]s,
 //! indexed by node, through one shared `Arc`: register files are
 //! read-only per packet, so sharing them needs no synchronization and
-//! the hot loop writes only shard-owned state and its (atomic,
-//! uncontended) metrics block. Flow affinity is what makes the rest
-//! sound: a flow's packets all arrive on this one shard, so nothing
-//! about a packet's journey is ever visible to another thread.
+//! the hot loop writes only shard-owned state. Per-packet counters go
+//! into a plain-integer tally that is added into the shard's atomic
+//! [`ShardMetrics`] once per batch, outcomes before `packets`. Flow
+//! affinity is what makes the rest sound: a flow's packets all arrive
+//! on this one shard, so nothing about a packet's journey is ever
+//! visible to another thread.
 //!
 //! **Wire-frame hot path: validate once, decode once, encode once.** A
 //! walk checks its frame's length and EtherType once, at its first
@@ -90,11 +92,13 @@
 //! `panic_lost`, never silent — and the supervisor restarts the shard
 //! in place: a clean scratch frame, header and report table (so its
 //! flows just report again), an emptied memo, and the batch resumed at
-//! the next packet. The pipelines need no reset: no walk writes to
-//! them. Flows stay pinned to the shard because the ring, and therefore
-//! the flow → shard mapping, never changes. A per-shard restart budget
-//! bounds pathological inputs: once exhausted the shard drains its ring
-//! into the loss counters instead of looping on poison forever.
+//! the next packet. The tally lives outside the restart, so the counts
+//! of the batch's packets before the panic survive it. The pipelines
+//! need no reset: no walk writes to them. Flows stay pinned to the
+//! shard because the ring, and therefore the flow → shard mapping,
+//! never changes. A per-shard restart budget bounds pathological
+//! inputs: once exhausted the shard drains its ring into the loss
+//! counters instead of looping on poison forever.
 
 use crate::aggregate::LoopEvent;
 use crate::epoch::RouteReader;
@@ -267,6 +271,72 @@ fn rekey(
     }
 }
 
+/// A shard's per-packet counters between two flushes: plain integers
+/// that `process` and its callees bump per packet, added into the
+/// shard's [`ShardMetrics`] once per batch by [`Tally::flush_into`].
+/// `run` owns it outside the restart loop, so a supervised restart keeps
+/// the counts of the packets processed before the panic.
+#[derive(Default)]
+struct Tally {
+    hops: u64,
+    delivered: u64,
+    ttl_dropped: u64,
+    route_errors: u64,
+    frame_errors: u64,
+    loop_events: u64,
+    events_sent: u64,
+    events_suppressed: u64,
+    loops_after_swap: u64,
+    memo_hits: u64,
+    memo_misses: u64,
+    memo_sampled_walks: u64,
+    memo_divergence: u64,
+    /// Highest generation a detection latency was recorded for, so each
+    /// generation gets one sample per shard. Never flushed.
+    latency_gen: u64,
+}
+
+impl Tally {
+    /// Adds each nonzero counter into `metrics` once and zeroes it.
+    fn flush_into(&mut self, metrics: &ShardMetrics) {
+        let Tally {
+            hops,
+            delivered,
+            ttl_dropped,
+            route_errors,
+            frame_errors,
+            loop_events,
+            events_sent,
+            events_suppressed,
+            loops_after_swap,
+            memo_hits,
+            memo_misses,
+            memo_sampled_walks,
+            memo_divergence,
+            latency_gen: _,
+        } = self;
+        for (count, counter) in [
+            (hops, &metrics.hops),
+            (delivered, &metrics.delivered),
+            (ttl_dropped, &metrics.ttl_dropped),
+            (route_errors, &metrics.route_errors),
+            (frame_errors, &metrics.frame_errors),
+            (loop_events, &metrics.loop_events),
+            (events_sent, &metrics.events_sent),
+            (events_suppressed, &metrics.events_suppressed),
+            (loops_after_swap, &metrics.loops_after_swap),
+            (memo_hits, &metrics.memo_hits),
+            (memo_misses, &metrics.memo_misses),
+            (memo_sampled_walks, &metrics.memo_sampled_walks),
+            (memo_divergence, &metrics.memo_divergence),
+        ] {
+            if *count > 0 {
+                counter.fetch_add(std::mem::take(count), Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// One shard's processing loop.
 pub struct ShardWorker {
     /// Shard index (for event attribution).
@@ -336,6 +406,7 @@ impl ShardWorker {
             memo.as_mut(),
         );
         let mut scratch = self.scratch();
+        let mut tally = Tally::default();
         let mut batch: Vec<EnginePacket> = Vec::with_capacity(self.batch_size);
         let mut pfaults: Vec<PacketFault> = Vec::new();
         let mut faults = self.faults.take();
@@ -351,6 +422,10 @@ impl ShardWorker {
             if !self.consumer.recv_batch(&mut batch, self.batch_size) {
                 break;
             }
+            let proc_start = Instant::now();
+            self.metrics
+                .wait_ns
+                .record((proc_start - wait_start).as_nanos() as u64);
             // Batch boundary: adopt any newly published route-table
             // generation. One atomic load when nothing changed; on a
             // swap, re-key the slots whose route changed.
@@ -366,10 +441,6 @@ impl ShardWorker {
                     .route_swaps_observed
                     .fetch_add(1, Ordering::Relaxed);
             }
-            let proc_start = Instant::now();
-            self.metrics
-                .wait_ns
-                .record((proc_start - wait_start).as_nanos() as u64);
             self.metrics.batches.fetch_add(1, Ordering::Relaxed);
             self.metrics.batch_sizes.record(batch.len() as u64);
             if draining_only {
@@ -399,7 +470,14 @@ impl ShardWorker {
                         let i = cursor.get();
                         cursor.set(i + 1);
                         let fault = pfaults.get(i).copied().unwrap_or(PacketFault::None);
-                        self.process(&err_hops, &mut batch[i], &mut scratch, fault, &mut memo);
+                        self.process(
+                            &err_hops,
+                            &mut batch[i],
+                            &mut scratch,
+                            fault,
+                            &mut memo,
+                            &mut tally,
+                        );
                     }
                 }));
                 if outcome.is_ok() {
@@ -430,9 +508,12 @@ impl ShardWorker {
                     table.invalidate(self.routes.routes().len());
                 }
             }
+            // Outcomes first, then `packets` with Release: a reader that
+            // sees this batch in `packets` (Acquire) sees its outcomes.
+            tally.flush_into(&self.metrics);
             self.metrics
                 .packets
-                .fetch_add(batch.len() as u64 - lost_in_batch, Ordering::Relaxed);
+                .fetch_add(batch.len() as u64 - lost_in_batch, Ordering::Release);
             self.metrics
                 .proc_ns
                 .record(proc_start.elapsed().as_nanos() as u64);
@@ -485,6 +566,7 @@ impl ShardWorker {
         scratch: &mut Scratch,
         fault: PacketFault,
         memo: &mut Option<MemoTable>,
+        tally: &mut Tally,
     ) {
         let flip = match fault {
             PacketFault::Panic => {
@@ -498,7 +580,7 @@ impl ShardWorker {
         // but resolved against the reader's *current* one, which may be
         // smaller. An out-of-range id is a route error, not a panic.
         let Some(route) = self.routes.routes().get_checked(packet.route) else {
-            self.metrics.route_errors.fetch_add(1, Ordering::Relaxed);
+            tally.route_errors += 1;
             return;
         };
         // In bounds: `rekey` keeps `err_hops` covering every slot of
@@ -508,11 +590,11 @@ impl ShardWorker {
         let end = match (packet.frame.as_mut(), memo.as_mut()) {
             (Some(frame), _) => self.walk_frame(route, err_hop, frame, &mut scratch.hdr, flip),
             (None, Some(table)) if flip.is_none() => {
-                self.walk_memoized(route, err_hop, idx, scratch, table)
+                self.walk_memoized(route, err_hop, idx, scratch, table, tally)
             }
             (None, _) => self.walk_generated(route, err_hop, scratch, flip),
         };
-        self.settle(&mut scratch.reports, packet.flow, packet.seq, route, end);
+        self.settle(&mut scratch.reports, tally, packet, route, end);
     }
 
     /// The memo path for a generated packet: the cached verdict on a
@@ -525,15 +607,16 @@ impl ShardWorker {
         idx: usize,
         scratch: &mut Scratch,
         table: &mut MemoTable,
+        tally: &mut Tally,
     ) -> MemoVerdict {
         let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
         let Some(cached) = table.lookup_verdict(idx) else {
-            self.metrics.memo_misses.fetch_add(1, Ordering::Relaxed);
+            tally.memo_misses += 1;
             let end = self.walk_generated(route, err_hop, scratch, None);
             table.record(idx, end, &scratch.frame[ETH_HEADER_LEN..shim_end]);
             return end;
         };
-        self.metrics.memo_hits.fetch_add(1, Ordering::Relaxed);
+        tally.memo_hits += 1;
         if !table.should_sample() {
             return cached;
         }
@@ -541,12 +624,10 @@ impl ShardWorker {
         // compare verdict and final shim bit-exactly, count any
         // mismatch, and settle from the walked result so divergence
         // can never leak into the run's accounting.
-        self.metrics
-            .memo_sampled_walks
-            .fetch_add(1, Ordering::Relaxed);
+        tally.memo_sampled_walks += 1;
         let end = self.walk_generated(route, err_hop, scratch, None);
         if end != cached || !table.shim_matches(idx, &scratch.frame[ETH_HEADER_LEN..shim_end]) {
-            self.metrics.memo_divergence.fetch_add(1, Ordering::Relaxed);
+            tally.memo_divergence += 1;
         }
         end
     }
@@ -667,38 +748,38 @@ impl ShardWorker {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Applies a walk outcome to the shard's books: hop and outcome
+    /// Applies a walk outcome to the shard's tally: hop and outcome
     /// counters, plus the report decision for detections. The single
     /// accounting sink for every walk flavour — a memoized verdict is
     /// indistinguishable from a walked one here.
     fn settle(
         &self,
         reports: &mut ReportTable,
-        flow: FlowKey,
-        seq: u64,
+        tally: &mut Tally,
+        packet: &EnginePacket,
         route: &CompiledRoute,
         end: MemoVerdict,
     ) {
         match end {
             MemoVerdict::Delivered { hops } => {
-                self.metrics.hops.fetch_add(hops as u64, Ordering::Relaxed);
-                self.metrics.delivered.fetch_add(1, Ordering::Relaxed);
+                tally.hops += hops as u64;
+                tally.delivered += 1;
             }
             MemoVerdict::Loop { trigger, hop } => {
-                self.metrics.hops.fetch_add(hop as u64, Ordering::Relaxed);
-                self.report_loop(reports, flow, seq, route, trigger as usize, hop);
+                tally.hops += hop as u64;
+                self.report_loop(reports, tally, packet, route, trigger as usize, hop);
             }
             MemoVerdict::TtlDropped { hops } => {
-                self.metrics.hops.fetch_add(hops as u64, Ordering::Relaxed);
-                self.metrics.ttl_dropped.fetch_add(1, Ordering::Relaxed);
+                tally.hops += hops as u64;
+                tally.ttl_dropped += 1;
             }
             MemoVerdict::RouteError { hops } => {
-                self.metrics.hops.fetch_add(hops as u64, Ordering::Relaxed);
-                self.metrics.route_errors.fetch_add(1, Ordering::Relaxed);
+                tally.hops += hops as u64;
+                tally.route_errors += 1;
             }
             MemoVerdict::FrameError { hops } => {
-                self.metrics.hops.fetch_add(hops as u64, Ordering::Relaxed);
-                self.metrics.frame_errors.fetch_add(1, Ordering::Relaxed);
+                tally.hops += hops as u64;
+                tally.frame_errors += 1;
             }
         }
     }
@@ -707,28 +788,26 @@ impl ShardWorker {
     /// §3.5 membership collection and sends the loop event: from the
     /// trigger switch, keep following the (known, looping) route
     /// recording switch IDs until the trigger reappears — the recorded
-    /// set is the loop. Takes the packet's fields separately so the
-    /// caller's in-place frame borrow stays undisturbed.
+    /// set is the loop.
     fn report_loop(
         &self,
         reports: &mut ReportTable,
-        flow: FlowKey,
-        seq: u64,
+        tally: &mut Tally,
+        packet: &EnginePacket,
         route: &CompiledRoute,
         trigger_node: usize,
         hop: u32,
     ) {
-        self.metrics.loop_events.fetch_add(1, Ordering::Relaxed);
+        tally.loop_events += 1;
         let gen = self.routes.generation();
         if gen > self.routes.initial_generation() {
             // This loop lives in a route generation published while
             // traffic was already flowing — live detection, not replay.
-            self.metrics
-                .loops_after_swap
-                .fetch_add(1, Ordering::Relaxed);
+            tally.loops_after_swap += 1;
             // First detection this shard makes against `gen` records
             // the detection latency: swap publish → detection.
-            if self.metrics.latency_gen.fetch_max(gen, Ordering::Relaxed) < gen {
+            if tally.latency_gen < gen {
+                tally.latency_gen = gen;
                 if let Some(published) = self.routes.publish_ns(gen) {
                     self.metrics
                         .detect_latency_ns
@@ -736,13 +815,11 @@ impl ShardWorker {
                 }
             }
         }
-        if !reports.should_report(flow) {
-            self.metrics
-                .events_suppressed
-                .fetch_add(1, Ordering::Relaxed);
+        if !reports.should_report(packet.flow) {
+            tally.events_suppressed += 1;
             return;
         }
-        self.metrics.events_sent.fetch_add(1, Ordering::Relaxed);
+        tally.events_sent += 1;
         let trigger = self.ids[trigger_node];
         let mut members = vec![trigger];
         let mut complete = false;
@@ -762,8 +839,8 @@ impl ShardWorker {
             i += 1;
         }
         let event = LoopEvent {
-            flow,
-            seq,
+            flow: packet.flow,
+            seq: packet.seq,
             shard: self.shard,
             trigger,
             hop,
@@ -1244,6 +1321,45 @@ mod tests {
             );
             std::thread::yield_now();
         }
+    }
+
+    #[test]
+    fn outcomes_reach_the_metrics_with_each_batch() {
+        // One batch (the fixture's batch size) on a ring left open, so
+        // the worker is still running when the batch lands in `packets`:
+        // its outcomes and memo counters must already be there.
+        let (mut worker, producer, _ev_rx) = worker_fixture(6, 64);
+        let mut b = RouteSetBuilder::new();
+        let routes = [
+            b.intern(&PathSpec::linear(vec![0, 1, 2])),
+            b.intern(&PathSpec::looping(vec![0], vec![1, 2])),
+        ];
+        worker.routes = Arc::new(EpochRouteTable::new(b.build())).reader();
+        worker.memo = Some(MemoConfig { sample_every: 1 });
+        let metrics = worker.metrics.clone();
+        for seq in 0..8 {
+            producer.push(packet(seq, routes[seq as usize % 2]));
+        }
+        let handle = std::thread::spawn(move || worker.run());
+        wait_for_packets(&metrics, 8);
+        let live = metrics.snapshot();
+        drop(producer);
+        handle.join().unwrap();
+        let done = metrics.snapshot();
+        assert_eq!((live.delivered, live.loop_events), (4, 4));
+        let counts = |s: &crate::metrics::ShardSnapshot| {
+            [
+                s.packets,
+                s.hops,
+                s.loop_events,
+                s.events_sent,
+                s.events_suppressed,
+                s.memo_hits,
+                s.memo_misses,
+                s.memo_sampled_walks,
+            ]
+        };
+        assert_eq!(counts(&live), counts(&done), "nothing waits for the exit");
     }
 
     #[test]
