@@ -8,15 +8,15 @@
 //!
 //! * `struct_path` — [`UnrollerPipeline::process_header`] on a decoded
 //!   [`WireHeader`]: the control block alone, no wire format in sight.
-//! * `walk_path_5`, `walk_path_16` — the engine worker's walk over
-//!   routes of 5 and 16 hops: one [`ShimView`] and one
-//!   [`ShimView::decode_into`] per walk, `process_header` at every hop,
-//!   one [`ShimView::encode_from`] at the end, the shim re-zeroed
-//!   between walks as for a fresh packet. Engine traffic on `wan:200`
-//!   averages about 5.4 hops per packet.
+//! * `walk_path_5`, `walk_path_16` — [`unroller_engine::walk`], the
+//!   engine's one walk, over routes of 5 and 16 hops: one
+//!   frame validation and one decode per walk, `process_header` at
+//!   every hop, one encode at the end, the shim re-zeroed between walks
+//!   as for a fresh packet. Engine traffic on `wan:200` averages about
+//!   5.4 hops per packet.
 //! * `frame_in_place_path` — [`UnrollerPipeline::process_frame_in_place`]:
-//!   the same walk for a single hop, paying the validation, the decode
-//!   (and its slot allocation) and the encode at every hop.
+//!   a walk of a single hop, paying the validation, the decode and the
+//!   encode at every hop.
 //!
 //! The engine end to end is measured by `perfbench`
 //! (`python3 perfbench/run.py`), not here.
@@ -39,9 +39,8 @@ use std::time::Instant;
 use unroller_core::UnrollerParams;
 use unroller_dataplane::header::{HeaderLayout, WireHeader};
 use unroller_dataplane::parser::build_frame;
-use unroller_dataplane::pipeline::ShimView;
 use unroller_dataplane::{EthernetHeader, UnrollerPipeline, ETH_HEADER_LEN};
-use unroller_engine::Json;
+use unroller_engine::{walk, Json};
 
 const SWITCHES: u32 = 16;
 /// Reset the walked header/frame to its initial state every this many
@@ -103,7 +102,8 @@ fn bench_struct_path(pipes: &[UnrollerPipeline], layout: &HeaderLayout, iters: u
 
 /// Times walks of `hops` hops, about `iters` hops in all, and reports
 /// ns per hop. Walk `w` starts at pipeline `w * hops`, so consecutive
-/// walks cover different switches, and no walk revisits one.
+/// walks cover different switches, and no walk revisits one (nor needs
+/// a TTL).
 fn bench_walk_path(
     pipes: &[UnrollerPipeline],
     layout: &HeaderLayout,
@@ -117,12 +117,9 @@ fn bench_walk_path(
     let walks = iters / hops as u64;
     let total = time_path(walks, |w| {
         frame[ETH_HEADER_LEN..shim_end].fill(0);
-        let mut view = ShimView::new(layout, black_box(&mut frame)).unwrap();
-        view.decode_into(&mut hdr);
-        for hop in 0..hops {
-            black_box(pipes[(w * hops + hop) % pipes.len()].process_header(&mut hdr));
-        }
-        view.encode_from(&hdr);
+        let nodes = (0..hops).map(|hop| (w * hops + hop) % pipes.len());
+        let frame = black_box(&mut frame[..]);
+        black_box(walk(pipes, layout, nodes, u32::MAX, frame, &mut hdr, None));
     });
     PathStats::from_total(total, walks * hops as u64)
 }

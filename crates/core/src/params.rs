@@ -12,6 +12,10 @@ use crate::phase::PhaseSchedule;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The most identifier slots (`c · H`) a configuration may ask for (the
+/// paper evaluates up to `c = 8`, `H = 10`); every slot array holds it.
+pub const MAX_SLOTS: usize = 64;
+
 /// Errors raised by [`UnrollerParams::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParamError {
@@ -28,8 +32,8 @@ pub enum ParamError {
     NoHashes,
     /// `Th` must be at least 1 (report on the first match).
     NoThreshold,
-    /// Storing more than 64 identifiers per packet exceeds any plausible
-    /// header budget; the paper evaluates up to `c = 8`, `H = 10`.
+    /// Storing more than [`MAX_SLOTS`] identifiers per packet exceeds
+    /// any plausible header budget.
     TooManySlots {
         /// requested `c · H` slots
         slots: u32,
@@ -51,7 +55,7 @@ impl fmt::Display for ParamError {
             ParamError::NoHashes => write!(f, "hash count H must be >= 1"),
             ParamError::NoThreshold => write!(f, "threshold Th must be >= 1"),
             ParamError::TooManySlots { slots } => {
-                write!(f, "c*H = {slots} identifier slots exceed the limit of 64")
+                write!(f, "c*H = {slots} slots exceed the limit of {MAX_SLOTS}")
             }
         }
     }
@@ -173,7 +177,7 @@ impl UnrollerParams {
             return Err(ParamError::NoThreshold);
         }
         let slots = self.c.saturating_mul(self.h);
-        if slots > 64 {
+        if slots as usize > MAX_SLOTS {
             return Err(ParamError::TooManySlots { slots });
         }
         Ok(())

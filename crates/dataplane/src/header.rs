@@ -12,7 +12,9 @@
 //! see [`crate::pipeline`].
 
 use crate::bitio::{read_bits_at, write_bits_at, BitReadError, BitReader, BitWriter};
-use unroller_core::params::UnrollerParams;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use unroller_core::params::{UnrollerParams, MAX_SLOTS};
 
 /// The wire layout derived from detector parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,8 +118,62 @@ impl HeaderLayout {
     }
 }
 
+/// The identifier slots of a [`WireHeader`]: up to [`MAX_SLOTS`] IDs
+/// inline, the first `len` of them live. It derefs to the live slots,
+/// so it indexes, iterates and counts like a slice; slots past `len`
+/// stay zero, so the derived equality compares live slots.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Swids {
+    ids: [u32; MAX_SLOTS],
+    len: u8,
+}
+
+impl Swids {
+    /// `len` zeroed slots. Panics past [`MAX_SLOTS`], which
+    /// [`UnrollerParams::validate`] rules out.
+    pub fn zeroed(len: usize) -> Self {
+        assert!(len <= MAX_SLOTS, "{len} slots exceed {MAX_SLOTS}");
+        Swids {
+            ids: [0; MAX_SLOTS],
+            len: len as u8,
+        }
+    }
+}
+
+impl Deref for Swids {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl DerefMut for Swids {
+    fn deref_mut(&mut self) -> &mut [u32] {
+        &mut self.ids[..self.len as usize]
+    }
+}
+
+/// Collects IDs into slots, in order; panics past [`MAX_SLOTS`].
+impl FromIterator<u32> for Swids {
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
+        let mut swids = Swids::zeroed(0);
+        for id in iter {
+            swids.ids[swids.len as usize] = id;
+            swids.len += 1;
+        }
+        swids
+    }
+}
+
+impl fmt::Debug for Swids {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A decoded Unroller shim header.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireHeader {
     /// Hop counter (8-bit on the wire; saturates at 255, past which the
     /// TTL would have expired anyway).
@@ -125,16 +181,17 @@ pub struct WireHeader {
     /// Threshold counter.
     pub thcnt: u32,
     /// Stored identifiers, indexed `hash_index · c + chunk_index`.
-    pub swids: Vec<u32>,
+    pub swids: Swids,
 }
 
 impl WireHeader {
-    /// The all-zero header a source host emits.
+    /// The all-zero header a source host emits. Panics if the layout
+    /// has more than [`MAX_SLOTS`] slots.
     pub fn initial(layout: &HeaderLayout) -> Self {
         WireHeader {
             xcnt: 0,
             thcnt: 0,
-            swids: vec![0; layout.slots as usize],
+            swids: Swids::zeroed(layout.slots as usize),
         }
     }
 
@@ -155,7 +212,7 @@ impl WireHeader {
             w.write(self.xcnt as u64, layout.xcnt_bits);
         }
         w.write(self.thcnt as u64, layout.thcnt_bits);
-        for &id in &self.swids {
+        for &id in self.swids.iter() {
             w.write(id as u64, layout.z);
         }
         w.into_bytes()
@@ -170,18 +227,18 @@ impl WireHeader {
             0
         };
         let thcnt = r.read(layout.thcnt_bits)? as u32;
-        let mut swids = Vec::with_capacity(layout.slots as usize);
-        for _ in 0..layout.slots {
-            swids.push(r.read(layout.z)? as u32);
+        let mut swids = Swids::zeroed(layout.slots as usize);
+        for id in swids.iter_mut() {
+            *id = r.read(layout.z)? as u32;
         }
         Ok(WireHeader { xcnt, thcnt, swids })
     }
 
-    /// Decodes the shim at the front of `shim` into `self`, reusing its
-    /// slot storage: [`Self::decode`] without the allocation. `shim`
-    /// may run past the header (a frame tail), which lets the offset
-    /// accessors load whole 8-byte windows. `xcnt` reads as 0 when the
-    /// layout infers it from the TTL.
+    /// Decodes the shim at the front of `shim` into `self` through the
+    /// offset accessors: [`Self::decode`] for a buffer already known to
+    /// hold the header. `shim` may run past the header (a frame tail),
+    /// which lets the accessors load whole 8-byte windows. `xcnt` reads
+    /// as 0 when the layout infers it from the TTL.
     ///
     /// # Panics
     ///
@@ -392,7 +449,7 @@ mod tests {
         let layout = HeaderLayout::from_params(&UnrollerParams::default().with_c(2));
         let hdr = WireHeader::initial(&layout);
         assert_eq!(hdr.xcnt, 0);
-        assert_eq!(hdr.swids, vec![0, 0]);
+        assert_eq!(*hdr.swids, [0, 0]);
         assert!(hdr.encode(&layout).iter().all(|&b| b == 0));
     }
 }

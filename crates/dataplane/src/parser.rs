@@ -138,7 +138,7 @@ mod tests {
         let shim = WireHeader {
             xcnt: 17,
             thcnt: 2,
-            swids: vec![0xdeadbeef, 0x12345678],
+            swids: [0xdeadbeef, 0x12345678].into_iter().collect(),
         };
         let payload = b"hello, loops";
         let frame = build_frame(&layout, &eth, &shim, payload);

@@ -42,12 +42,10 @@ use unroller_core::{SwitchId, Verdict};
 /// with one 8-byte window (see [`crate::bitio::read_bits_at`]). Bytes
 /// past the shim are never changed.
 ///
-/// A walk along many switches validates once, decodes once with
-/// [`Self::decode_into`], runs [`UnrollerPipeline::process_header`] at
-/// every hop, and writes the shim back once with [`Self::encode_from`].
-/// Under a TTL-inferred layout the decoded `xcnt` starts at 0 and counts
-/// the hops of that walk, which is what [`UnrollerPipeline::process_header_ttl`]
-/// would be handed.
+/// A walk along many switches (the engine's `walk`) validates once,
+/// decodes once with [`Self::decode_into`], runs
+/// [`UnrollerPipeline::process_header`] at every hop, and writes the
+/// shim back once with [`Self::encode_from`].
 #[derive(Debug)]
 pub struct ShimView<'a> {
     layout: HeaderLayout,
@@ -77,8 +75,8 @@ impl<'a> ShimView<'a> {
         })
     }
 
-    /// Decodes the shim into `hdr`, reusing its slot storage: no
-    /// allocation. `xcnt` reads as 0 under a TTL-inferred layout.
+    /// Decodes the shim into `hdr`. `xcnt` reads as 0 under a
+    /// TTL-inferred layout.
     #[inline]
     pub fn decode_into(&self, hdr: &mut WireHeader) {
         hdr.decode_into(&self.layout, self.bytes);
@@ -289,9 +287,9 @@ impl UnrollerPipeline {
     /// untouched — the switch would drop it and punt a report to the
     /// controller.
     ///
-    /// Each call allocates the decoded header's slots; a multi-hop walk
-    /// decodes once and runs [`Self::process_header`] at every hop
-    /// instead (see [`ShimView`]). Under a TTL-inferred layout the frame
+    /// Nothing is allocated: the decoded header lives on the stack. A
+    /// multi-hop walk decodes once and runs [`Self::process_header`] at
+    /// every hop instead (see [`ShimView`]). Under a TTL-inferred layout the frame
     /// carries no hop count, so every call runs as the packet's first
     /// hop.
     pub fn process_frame_in_place(&self, frame: &mut [u8]) -> Result<Verdict, FrameError> {
@@ -489,7 +487,7 @@ mod tests {
                 swids: swids[..layout.slots as usize].iter().map(|&id| id & params.z_mask()).collect(),
             };
             for &hop in &hops {
-                let before = hdr.clone();
+                let before = hdr;
                 let pipe = UnrollerPipeline::new(100 + hop, params).unwrap();
                 if pipe.process_header(&mut hdr) == Verdict::LoopReported {
                     prop_assert_eq!(&hdr, &before, "report at switch {} wrote the header", 100 + hop);

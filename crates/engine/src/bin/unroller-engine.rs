@@ -7,7 +7,9 @@
 //! `--fault-sweep 0,0.5,1,2,4` replays the same (same-seed) stream
 //! under the `--faults` plan scaled by each multiplier and writes
 //! detection recall and heal latency per fault level to
-//! `results/engine_faults.json`.
+//! `results/engine_faults.json`. Either mode exits 1 when a run breaks
+//! one of the report's accounting identities, naming the identity (and,
+//! in a sweep, the multiplier) after the JSON is written.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -416,8 +418,9 @@ fn detection_recall(report: &EngineReport, looping: &[FlowKey]) -> (f64, usize) 
 }
 
 /// Exits 1 with one stderr line naming every accounting identity the
-/// report breaks: packets, events or per-shard outcomes.
-fn accounting_gate(report: &EngineReport) {
+/// report breaks: packets, events or per-shard outcomes. `context`
+/// follows "mismatch" (a sweep names the multiplier).
+fn accounting_gate(report: &EngineReport, context: &str) {
     let broken: Vec<&str> = [
         ("accounted", report.accounted()),
         ("events_accounted", report.events_accounted()),
@@ -428,7 +431,7 @@ fn accounting_gate(report: &EngineReport) {
     .collect();
     if !broken.is_empty() {
         eprintln!(
-            "unroller-engine: internal accounting mismatch: {}",
+            "unroller-engine: internal accounting mismatch{context}: {}",
             broken.join(", ")
         );
         std::process::exit(1);
@@ -605,6 +608,7 @@ fn main() {
             std::process::exit(2);
         }
         let mut runs = Vec::with_capacity(multipliers.len());
+        let mut reports = Vec::with_capacity(multipliers.len());
         for &mult in multipliers {
             let plan = opts.faults.scaled(mult);
             let run_cfg = EngineConfig {
@@ -652,6 +656,7 @@ fn main() {
             row.set("heal", heal_json(&heal));
             row.set("report", report.to_json());
             runs.push(row);
+            reports.push((mult, report));
         }
         let mut sweep = Json::object();
         sweep.set("base_plan", opts.faults.to_json());
@@ -665,6 +670,10 @@ fn main() {
             .clone()
             .unwrap_or_else(|| "results/engine_faults.json".to_string());
         write_report(&out, sweep.render_pretty().as_bytes());
+        // Gated after writing, so a broken row can be inspected.
+        for (mult, report) in &reports {
+            accounting_gate(report, &format!(" at multiplier {mult}"));
+        }
     } else if let Some(plan) = opts.churn.clone() {
         // Live churn: the control plane fails and heals links while the
         // engine is processing, publishing each event's routes as a new
@@ -780,7 +789,7 @@ fn main() {
         if let Some(out) = &opts.out {
             write_report(out, rendered.as_bytes());
         }
-        accounting_gate(&report);
+        accounting_gate(&report, "");
         memo_gate(&report);
         if opts.expect_loop && (!report.loop_detected() || loops_after_swap == 0) {
             eprintln!("unroller-engine: expected a loop detection on a post-swap generation");
@@ -903,7 +912,7 @@ fn main() {
         if let Some(out) = &opts.out {
             write_report(out, rendered.as_bytes());
         }
-        accounting_gate(&report);
+        accounting_gate(&report, "");
         memo_gate(&report);
         if let Some((_, _, agrees)) = &oracle {
             if !agrees {

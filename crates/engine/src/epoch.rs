@@ -216,8 +216,8 @@ impl EpochRouteTable {
 /// Call [`refresh`](Self::refresh) once per batch: when nothing was
 /// published it is a single atomic load; when the table moved it pins
 /// the new generation and hands back the set it replaced, so the
-/// caller can re-key its per-slot caches (the worker's validity table
-/// and memo) for exactly the slots whose route changed.
+/// caller can re-key its per-slot caches (the worker's memo) for
+/// exactly the slots whose route changed.
 #[derive(Debug)]
 pub struct RouteReader {
     table: Arc<EpochRouteTable>,

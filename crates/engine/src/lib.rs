@@ -9,12 +9,12 @@
 //! batches off a bounded SPSC ring with explicit backpressure
 //! accounting, whose lock each side takes once per batch ([`ring`]),
 //! walks packets through the per-switch pipelines every shard shares
-//! read-only ([`worker`]), and funnels loop events to an
-//! aggregator that dedupes per flow and hands localized reports to the
-//! `unroller-control` controller ([`aggregate`]). Each shard suppresses
-//! a trapped flow's repeat detections first, in a fixed-size report
-//! table that re-reports on a back-off schedule; the aggregator's
-//! per-flow dedupe behind it stays exact. A metrics layer
+//! read-only ([`walk`], run by the shard [`worker`]), and funnels loop
+//! events to an aggregator that dedupes per flow and hands localized
+//! reports to the `unroller-control` controller ([`aggregate`]). Each
+//! shard suppresses a trapped flow's repeat detections first, in a
+//! fixed-size report table that re-reports on a back-off schedule; the
+//! aggregator's per-flow dedupe behind it stays exact. A metrics layer
 //! ([`metrics`]) keeps per-shard counters, which each worker tallies
 //! locally and adds once per batch, and latency histograms. The
 //! engine's throughput, CPU cost per packet and detection latency are
@@ -85,3 +85,4 @@ pub use source::{
     CaptureSource, LoopInjection, PcapReplaySource, ReplaySource, SyntheticSource, TrafficSource,
 };
 pub use supervise::{Shedder, WatchdogReport};
+pub use worker::{walk, Flip};

@@ -8,13 +8,9 @@
 //! read-only [`RouteSet`], and packets carry a plain [`RouteId`] — four
 //! bytes, no refcount, no allocation, no cross-core write traffic.
 //!
-//! Validity is part of compilation: [`CompiledRoute::first_invalid_hop`]
-//! pre-computes, against a given pipeline count, the first hop that
-//! would reference an unknown switch. Workers evaluate it once per
-//! route — at startup, and for each route a generation swap brings
-//! into a slot — so the hot walk indexes the pipeline array directly
-//! instead of re-validating every hop of every packet (`route_errors`
-//! becomes a pre-computed cold path).
+//! Validity is checked where it is used: [`crate::walk`] ends in a route
+//! error at the first node the pipeline array lacks, the bounds check
+//! its lookup pays anyway.
 //!
 //! [`EnginePacket`]: crate::packet::EnginePacket
 
@@ -79,6 +75,13 @@ impl CompiledRoute {
         Some(self.cycle[(i - self.pre.len()) % self.cycle.len()])
     }
 
+    /// The route's nodes in walk order: `pre`, then `cycle` forever (so
+    /// a loop-free route ends after `pre`).
+    #[inline]
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.pre.iter().chain(self.cycle.iter().cycle()).copied()
+    }
+
     /// Whether this route traps packets in a loop.
     #[inline]
     pub fn loops(&self) -> bool {
@@ -89,6 +92,8 @@ impl CompiledRoute {
     /// `0..node_count`, or `None` when every reachable hop is valid.
     /// Walk order is `pre` then the first cycle pass — the first pass
     /// visits every cycle node, so nothing later can fail first.
+    /// Only `perfbench`'s replay uses it (the engine's walk finds the
+    /// same hop by its pipeline lookup); it goes with that replay.
     pub fn first_invalid_hop(&self, node_count: usize) -> Option<u32> {
         for (i, &node) in self.pre.iter().enumerate() {
             if node >= node_count {
@@ -163,6 +168,7 @@ impl RouteSet {
     /// The per-route first-invalid-hop table against a pipeline count,
     /// indexed by [`RouteId::index`], into a caller-owned buffer (its
     /// allocation is reused); `u32::MAX` marks a fully valid route.
+    /// Only `perfbench`'s replay uses it; it goes with that replay.
     pub fn first_invalid_hops_into(&self, node_count: usize, out: &mut Vec<u32>) {
         out.clear();
         out.extend(

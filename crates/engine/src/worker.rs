@@ -11,43 +11,34 @@
 //! on this one shard, so nothing about a packet's journey is ever
 //! visible to another thread.
 //!
-//! **Wire-frame hot path: validate once, decode once, encode once.** A
-//! walk checks its frame's length and EtherType once, at its first
-//! processed hop, by building a [`ShimView`]. It decodes the shim once
-//! into a shard-owned scratch [`WireHeader`], runs
-//! [`UnrollerPipeline::process_header`] on that struct at every hop,
-//! and writes the shim back into the frame once when the walk ends.
-//! When no hop continued (a first-hop report) nothing is written, so
-//! the frame leaves exactly as it arrived. The final bytes are those of
-//! a whole frame operation at every hop — validate, decode with
-//! [`WireHeader::decode`], run the control block, encode with
-//! [`WireHeader::encode`] (property-tested below) — and no walk
-//! allocates. Generated packets share one shard-owned scratch frame
-//! (only its shim bytes are re-zeroed per packet); packets replayed
-//! from a capture carry their own recorded bytes and are processed in
-//! them, shim state and all. Under a TTL-inferred layout
-//! (`xcnt_in_header = false`) the shim carries no hop count: the
+//! **Wire-frame hot path: validate once, decode once, encode once.**
+//! Every packet resolves its route once, then settles, in batch order
+//! and through one accounting, from the memo or from [`walk`], the
+//! engine's one walk (the `hotpath` bench times the same function):
+//! one [`ShimView`]
+//! validation and one decode per walk, into a shard-owned scratch
+//! [`WireHeader`], [`UnrollerPipeline::process_header`] at every hop,
+//! one encode at the end, and no allocation. Its final bytes are those
+//! of a whole frame operation at every hop (property-tested below).
+//! Generated packets share one shard-owned scratch frame (only its shim
+//! bytes are re-zeroed per packet); packets replayed from a capture
+//! carry their own recorded bytes and are walked in them, shim state
+//! and all. Under a TTL-inferred layout (`xcnt_in_header = false`) the
 //! decoded `xcnt` starts at 0 and counts the walk's own hops, as a
-//! switch would infer them from the TTL (paper footnote 3). A carried
-//! frame therefore starts counting at its first replayed hop.
+//! switch would infer them from the TTL (paper footnote 3), so a
+//! carried frame starts counting at its first replayed hop.
 //!
 //! **Interned routes, swappable mid-run.** Packets carry a
 //! [`RouteId`] into the current route-table
 //! *generation*: the worker holds a [`RouteReader`] onto the engine's
 //! [`EpochRouteTable`](crate::epoch::EpochRouteTable) and polls it once
 //! per batch — one atomic load when nothing changed, a pointer swap
-//! when the control plane published new routes. Route validity is
-//! settled once per *route*: the worker keeps each slot's
-//! [`CompiledRoute::first_invalid_hop`] against its own pipeline count,
-//! so the per-hop walk compares one integer instead of bounds-checking
-//! a map lookup. On a swap it compares every slot of the new set with
-//! the set [`RouteReader::refresh`] handed back, and re-validates only
-//! the slots whose route differs (or that the old set lacked) —
-//! `route_errors` is decided before the first packet on a changed
-//! route, and the cached table can never go stale across a swap.
-//! Detections against a generation published after startup also
-//! record **detection latency** (publish → first detection on this
-//! shard).
+//! when the control plane published new routes. Route validity needs no
+//! table: the walk's checked pipeline lookup ends in a route error at
+//! the first unknown node, so a swapped-in route is judged by the nodes
+//! it names. Detections against a generation published after startup
+//! also record **detection latency** (publish → first detection on
+//! this shard).
 //!
 //! **Report once per flow.** A trapped flow is detected packet after
 //! packet, but the controller needs one report per loop. Each shard
@@ -74,17 +65,13 @@
 //! `(verdict, final shim)`, every later packet settles from the cached
 //! entry in one lookup, and a configurable 1-in-N sampler re-walks
 //! hits to cross-check the cache bit-exactly (`memo_divergence` counts
-//! any mismatch). An entry is a pure function of its route, so it is
-//! keyed by route like the validity table: a swap drops the entry of
-//! each slot whose route changed, in the same pass that re-validates
-//! it, and every other entry keeps serving. A swapped-in route reusing
-//! a slot never serves a stale verdict, and a flow whose route
+//! any mismatch). An entry is a pure function of its route, so a swap
+//! compares every slot of the new set with the set
+//! [`RouteReader::refresh`] handed back and drops the entry of each slot
+//! whose route changed (or that the old set lacked): a swapped-in route
+//! reusing a slot never serves a stale verdict, and a flow whose route
 //! survived the swap does not walk again. Replayed frames and faulted
 //! packets always walk.
-//!
-//! **One walk per packet.** Every packet resolves its route once, then
-//! settles from either the memo or a single walk, in batch order;
-//! both outcomes go through the same accounting.
 //!
 //! **Supervision.** Packet processing runs inside `catch_unwind`: a
 //! panic (injected by a [`FaultPlan`](crate::faults::FaultPlan) or a
@@ -123,6 +110,7 @@ use unroller_dataplane::pipeline::ShimView;
 use unroller_dataplane::{
     EthernetHeader, HeaderLayout, UnrollerPipeline, WireHeader, ETH_HEADER_LEN,
 };
+use unroller_topology::NodeId;
 
 /// Cap on §3.5 membership collection: a real switch would bound the
 /// report it punts to the controller; 64 IDs covers any loop a sane
@@ -145,11 +133,6 @@ const REPORT_WAYS: usize = 4;
 const REPORT_PERIOD: u64 = 64;
 
 const _: () = assert!(REPORT_SETS.is_power_of_two() && REPORT_PERIOD.is_power_of_two());
-
-/// Sentinel in the per-route validity table: every hop is in bounds.
-/// (A real hop index never reaches it — `max_hops` caps walks far
-/// below `u32::MAX`.)
-const ROUTE_VALID: u32 = u32::MAX;
 
 /// A shard's reusable walk state, rebuilt on restart: the wire frame
 /// frameless packets are walked in, the decoded header every walk runs
@@ -238,35 +221,20 @@ impl ReportTable {
     }
 }
 
-/// Re-keys a worker's per-slot caches from route set `old` to `new`.
-/// A slot is stale when its route differs from `old`'s, or when `old`
-/// has no such slot; each stale slot gets its `err_hops` entry
-/// recomputed against `node_count` pipelines and its memo entry
-/// dropped (a set longer than any before is provisioned here). Every
-/// other entry was computed for the very route the slot still holds,
-/// and the pipelines and params are fixed for a run, so it stays
-/// exact — whatever generations were skipped in between. A republished
-/// set costs nothing.
-fn rekey(
-    old: &RouteSet,
-    new: &RouteSet,
-    node_count: usize,
-    err_hops: &mut Vec<u32>,
-    mut memo: Option<&mut MemoTable>,
-) {
+/// Re-keys the memo from route set `old` to `new`: drops the entry of
+/// every slot whose route differs from `old`'s, or that `old` lacks (a
+/// set longer than any before is provisioned here). Every other entry
+/// was recorded for the very route the slot still holds, and the
+/// pipelines and params are fixed for a run, so it stays exact —
+/// whatever generations were skipped in between. A republished set
+/// costs nothing.
+fn rekey(old: &RouteSet, new: &RouteSet, memo: &mut MemoTable) {
     if std::ptr::eq(old, new) {
         return;
     }
-    if err_hops.len() < new.len() {
-        err_hops.resize(new.len(), ROUTE_VALID);
-    }
     for (slot, route) in new.iter().enumerate() {
-        if old.get_checked(RouteId::from_index(slot)) == Some(route) {
-            continue;
-        }
-        err_hops[slot] = route.first_invalid_hop(node_count).unwrap_or(ROUTE_VALID);
-        if let Some(table) = memo.as_deref_mut() {
-            table.invalidate_slot(slot);
+        if old.get_checked(RouteId::from_index(slot)) != Some(route) {
+            memo.invalidate_slot(slot);
         }
     }
 }
@@ -291,6 +259,7 @@ struct Tally {
     memo_misses: u64,
     memo_sampled_walks: u64,
     memo_divergence: u64,
+    bitflips_injected: u64,
     /// Highest generation a detection latency was recorded for, so each
     /// generation gets one sample per shard. Never flushed.
     latency_gen: u64,
@@ -313,6 +282,7 @@ impl Tally {
             memo_misses,
             memo_sampled_walks,
             memo_divergence,
+            bitflips_injected,
             latency_gen: _,
         } = self;
         for (count, counter) in [
@@ -329,6 +299,7 @@ impl Tally {
             (memo_misses, &metrics.memo_misses),
             (memo_sampled_walks, &metrics.memo_sampled_walks),
             (memo_divergence, &metrics.memo_divergence),
+            (bitflips_injected, &metrics.bitflips_injected),
         ] {
             if *count > 0 {
                 counter.fetch_add(std::mem::take(count), Ordering::Relaxed);
@@ -383,28 +354,14 @@ impl ShardWorker {
             install_quiet_panic_hook();
         }
         let cpu_start = thread_cpu_ns();
-        // Per-slot caches keyed by route: err_hops[slot] is the first
-        // hop of the slot's route that would leave the pipeline array
-        // (ROUTE_VALID when none does), so the hot walk compares one
-        // integer instead of re-validating every hop of every packet;
-        // the memo table (when enabled) holds the slot's walk outcome.
-        // Both are filled the way every swap re-keys them: `rekey`
-        // from the empty set. The memo is sized for the initial set up
-        // front: grown slot by slot, the memoized perfbench workload
-        // ran 4–5% slower on a 2-vCPU host.
-        let mut err_hops: Vec<u32> = Vec::new();
+        // The memo is sized for the initial set up front: grown slot by
+        // slot, the memoized perfbench workload ran 4–5% slower on a
+        // 2-vCPU host.
         let mut memo: Option<MemoTable> = self.memo.map(|cfg| {
             let mut table = MemoTable::new(cfg, self.layout.total_bytes());
             table.invalidate(self.routes.routes().len());
             table
         });
-        rekey(
-            &RouteSet::default(),
-            self.routes.routes(),
-            self.pipelines.len(),
-            &mut err_hops,
-            memo.as_mut(),
-        );
         let mut scratch = self.scratch();
         let mut tally = Tally::default();
         let mut batch: Vec<EnginePacket> = Vec::with_capacity(self.batch_size);
@@ -428,15 +385,11 @@ impl ShardWorker {
                 .record((proc_start - wait_start).as_nanos() as u64);
             // Batch boundary: adopt any newly published route-table
             // generation. One atomic load when nothing changed; on a
-            // swap, re-key the slots whose route changed.
+            // swap, re-key the memo slots whose route changed.
             if let Some(replaced) = self.routes.refresh() {
-                rekey(
-                    &replaced,
-                    self.routes.routes(),
-                    self.pipelines.len(),
-                    &mut err_hops,
-                    memo.as_mut(),
-                );
+                if let Some(table) = memo.as_mut() {
+                    rekey(&replaced, self.routes.routes(), table);
+                }
                 self.metrics
                     .route_swaps_observed
                     .fetch_add(1, Ordering::Relaxed);
@@ -470,14 +423,7 @@ impl ShardWorker {
                         let i = cursor.get();
                         cursor.set(i + 1);
                         let fault = pfaults.get(i).copied().unwrap_or(PacketFault::None);
-                        self.process(
-                            &err_hops,
-                            &mut batch[i],
-                            &mut scratch,
-                            fault,
-                            &mut memo,
-                            &mut tally,
-                        );
+                        self.process(&mut batch[i], &mut scratch, fault, &mut memo, &mut tally);
                     }
                 }));
                 if outcome.is_ok() {
@@ -561,7 +507,6 @@ impl ShardWorker {
     /// own state.
     fn process(
         &self,
-        err_hops: &[u32],
         packet: &mut EnginePacket,
         scratch: &mut Scratch,
         fault: PacketFault,
@@ -573,7 +518,11 @@ impl ShardWorker {
                 self.metrics.panics_injected.fetch_add(1, Ordering::Relaxed);
                 inject_panic(self.shard);
             }
-            PacketFault::BitFlip { at_hop, bit } => Some((at_hop, bit)),
+            PacketFault::BitFlip { at_hop, bit } => Some(Flip {
+                at_hop,
+                bit,
+                landed: &mut tally.bitflips_injected,
+            }),
             PacketFault::None => None,
         };
         // Checked lookup: a `RouteId` is minted against some generation
@@ -583,16 +532,11 @@ impl ShardWorker {
             tally.route_errors += 1;
             return;
         };
-        // In bounds: `rekey` keeps `err_hops` covering every slot of
-        // the generation the checked lookup just succeeded against.
-        let idx = packet.route.index();
-        let err_hop = err_hops[idx];
-        let end = match (packet.frame.as_mut(), memo.as_mut()) {
-            (Some(frame), _) => self.walk_frame(route, err_hop, frame, &mut scratch.hdr, flip),
+        let end = match (packet.frame.as_deref_mut(), memo.as_mut()) {
             (None, Some(table)) if flip.is_none() => {
-                self.walk_memoized(route, err_hop, idx, scratch, table, tally)
+                self.walk_memoized(route, packet.route.index(), scratch, table, tally)
             }
-            (None, _) => self.walk_generated(route, err_hop, scratch, flip),
+            (frame, _) => self.walk(route, frame, scratch, flip),
         };
         self.settle(&mut scratch.reports, tally, packet, route, end);
     }
@@ -603,7 +547,6 @@ impl ShardWorker {
     fn walk_memoized(
         &self,
         route: &CompiledRoute,
-        err_hop: u32,
         idx: usize,
         scratch: &mut Scratch,
         table: &mut MemoTable,
@@ -612,7 +555,7 @@ impl ShardWorker {
         let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
         let Some(cached) = table.lookup_verdict(idx) else {
             tally.memo_misses += 1;
-            let end = self.walk_generated(route, err_hop, scratch, None);
+            let end = self.walk(route, None, scratch, None);
             table.record(idx, end, &scratch.frame[ETH_HEADER_LEN..shim_end]);
             return end;
         };
@@ -625,127 +568,37 @@ impl ShardWorker {
         // mismatch, and settle from the walked result so divergence
         // can never leak into the run's accounting.
         tally.memo_sampled_walks += 1;
-        let end = self.walk_generated(route, err_hop, scratch, None);
+        let end = self.walk(route, None, scratch, None);
         if end != cached || !table.shim_matches(idx, &scratch.frame[ETH_HEADER_LEN..shim_end]) {
             tally.memo_divergence += 1;
         }
         end
     }
 
-    /// Resets the scratch shim to the generated-traffic initial state
-    /// (all zeros) and walks it.
-    fn walk_generated(
+    /// [`walk`]s `route` in the packet's own frame, or, for a generated
+    /// packet (`None`), in the scratch frame reset to the all-zero
+    /// initial shim.
+    fn walk(
         &self,
         route: &CompiledRoute,
-        err_hop: u32,
+        frame: Option<&mut [u8]>,
         scratch: &mut Scratch,
-        flip: Option<(u32, u32)>,
+        flip: Option<Flip<'_>>,
     ) -> MemoVerdict {
-        let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
-        scratch.frame[ETH_HEADER_LEN..shim_end].fill(0);
-        self.walk_frame(route, err_hop, &mut scratch.frame, &mut scratch.hdr, flip)
-    }
-
-    /// Walks one wire frame along its interned route through the
-    /// per-switch pipelines and returns the terminal outcome without
-    /// touching any outcome counter ([`Self::settle`] does that), so
-    /// walked and memoized packets settle through identical accounting.
-    ///
-    /// Each hop runs route end → invalid node (`err_hop`) → frame
-    /// validation (first processed hop only) → scheduled bit-flip →
-    /// control block on `hdr` → TTL. A malformed frame fails identically
-    /// at every switch, so it is rejected once, before any hop runs and
-    /// without a byte written. The shim is written back when the walk
-    /// ends unless no hop continued.
-    fn walk_frame(
-        &self,
-        route: &CompiledRoute,
-        err_hop: u32,
-        frame: &mut [u8],
-        hdr: &mut WireHeader,
-        mut flip: Option<(u32, u32)>,
-    ) -> MemoVerdict {
-        let pipelines: &[UnrollerPipeline] = &self.pipelines;
-        // `pre`, then `cycle` forever (empty when loop-free).
-        let mut nodes = route.pre.iter().chain(route.cycle.iter().cycle()).copied();
-        let Some(mut node) = nodes.next() else {
-            return MemoVerdict::Delivered { hops: 0 };
-        };
-        if err_hop == 0 {
-            return MemoVerdict::RouteError { hops: 0 };
-        }
-        let mut view = match ShimView::new(&self.layout, frame) {
-            Ok(view) => view,
-            Err(_) => {
-                if matches!(flip, Some((0, _))) {
-                    // Scheduled, but there is no shim to land in.
-                    self.metrics
-                        .bitflips_injected
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                return MemoVerdict::FrameError { hops: 0 };
-            }
-        };
-        view.decode_into(hdr);
-        let mut hop = 0u32;
-        let end = loop {
-            if let Some((at_hop, bit)) = flip {
-                if hop == at_hop {
-                    flip = None;
-                    self.flip_in_flight(&mut view, hdr, hop > 0, bit);
-                }
-            }
-            hop += 1;
-            // In bounds: every hop before `err_hop` names a provisioned node.
-            if pipelines[node].process_header(hdr).reported() {
-                break MemoVerdict::Loop {
-                    trigger: node as u32,
-                    hop,
-                };
-            }
-            if hop >= self.max_hops {
-                break MemoVerdict::TtlDropped { hops: hop };
-            }
-            let Some(next) = nodes.next() else {
-                break MemoVerdict::Delivered { hops: hop };
-            };
-            if hop == err_hop {
-                break MemoVerdict::RouteError { hops: hop };
-            }
-            node = next;
-        };
-        // Every hop before a report continued, so only a first-hop report
-        // leaves nothing to write back: the frame stays as it came, as
-        // after a report at a real switch.
-        if !matches!(end, MemoVerdict::Loop { hop: 1, .. }) {
-            view.encode_from(hdr);
-        }
-        end
-    }
-
-    /// On-the-wire corruption between two switches, landing on the
-    /// walk's current state: write it back if any hop has changed it
-    /// (`continued`), flip the wire bit, decode again. A TTL-inferred
-    /// layout keeps its hop count, which lives in the TTL, not the shim.
-    fn flip_in_flight(
-        &self,
-        view: &mut ShimView<'_>,
-        hdr: &mut WireHeader,
-        continued: bool,
-        bit: u32,
-    ) {
-        if continued {
-            view.encode_from(hdr);
-        }
-        view.flip_bit(bit);
-        let xcnt = hdr.xcnt;
-        view.decode_into(hdr);
-        if self.layout.xcnt_bits == 0 {
-            hdr.xcnt = xcnt;
-        }
-        self.metrics
-            .bitflips_injected
-            .fetch_add(1, Ordering::Relaxed);
+        let frame = frame.unwrap_or_else(|| {
+            let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
+            scratch.frame[ETH_HEADER_LEN..shim_end].fill(0);
+            &mut scratch.frame
+        });
+        walk(
+            &self.pipelines,
+            &self.layout,
+            route.nodes(),
+            self.max_hops,
+            frame,
+            &mut scratch.hdr,
+            flip,
+        )
     }
 
     /// Applies a walk outcome to the shard's tally: hop and outcome
@@ -823,11 +676,11 @@ impl ShardWorker {
         let trigger = self.ids[trigger_node];
         let mut members = vec![trigger];
         let mut complete = false;
-        let mut i = hop as usize; // route index of the hop *after* the trigger
-        while members.len() < MEMBERSHIP_CAP {
-            let Some(node) = route.hop(i) else {
+        // `hop` is the route index of the hop after the trigger.
+        for node in route.nodes().skip(hop as usize) {
+            if members.len() == MEMBERSHIP_CAP {
                 break;
-            };
+            }
             let Some(&id) = self.ids.get(node) else {
                 break;
             };
@@ -836,7 +689,6 @@ impl ShardWorker {
                 break;
             }
             members.push(id);
-            i += 1;
         }
         let event = LoopEvent {
             flow: packet.flow,
@@ -877,8 +729,98 @@ impl ShardWorker {
     }
 }
 
-// Keep the sentinel honest if the table representation ever changes.
-const _: () = assert!(ROUTE_VALID == u32::MAX);
+/// An on-the-wire bit flip scheduled into one [`walk`]: fault
+/// injection's corruption between two switches.
+#[derive(Debug)]
+pub struct Flip<'a> {
+    /// Hops processed before the flip lands (0: before the first switch).
+    pub at_hop: u32,
+    /// The wire bit to flip; wraps modulo the shim's bit count
+    /// ([`ShimView::flip_bit`]).
+    pub bit: u32,
+    /// Counts the flip once, when it lands.
+    pub landed: &'a mut u64,
+}
+
+/// Walks one wire frame through `pipelines` along `nodes` (indices into
+/// `pipelines`): the engine's one walk. It returns the terminal outcome
+/// and counts nothing but a landed flip, so walked and memoized
+/// outcomes settle through the caller's one accounting.
+///
+/// Each hop runs route end (`nodes` ran out: delivered) → pipeline
+/// lookup (a node `pipelines` lacks: route error) → frame validation
+/// (first hop only: a malformed frame fails identically at every
+/// switch, so it is rejected with no byte written) → the scheduled flip
+/// → the control block on `hdr` → the TTL (`max_hops`). The shim is
+/// decoded once into `hdr` (any header with the layout's slot count)
+/// and encoded back once at the end, unless no hop continued (a
+/// first-hop report), which leaves the frame as it came. A flip lands
+/// on the walk's current state: the shim is written back if a hop has
+/// changed it, the wire bit flipped and the shim decoded again, keeping
+/// a TTL-inferred layout's hop count. A flip due before the first hop
+/// of a malformed frame counts as landed.
+pub fn walk(
+    pipelines: &[UnrollerPipeline],
+    layout: &HeaderLayout,
+    mut nodes: impl Iterator<Item = NodeId>,
+    max_hops: u32,
+    frame: &mut [u8],
+    hdr: &mut WireHeader,
+    mut flip: Option<Flip<'_>>,
+) -> MemoVerdict {
+    let Some(mut node) = nodes.next() else {
+        return MemoVerdict::Delivered { hops: 0 };
+    };
+    let Some(mut pipeline) = pipelines.get(node) else {
+        return MemoVerdict::RouteError { hops: 0 };
+    };
+    let Ok(mut view) = ShimView::new(layout, frame) else {
+        if let Some(f) = flip.filter(|f| f.at_hop == 0) {
+            *f.landed += 1;
+        }
+        return MemoVerdict::FrameError { hops: 0 };
+    };
+    view.decode_into(hdr);
+    let mut hop = 0u32;
+    let end = loop {
+        if let Some(f) = flip.take_if(|f| f.at_hop == hop) {
+            if hop > 0 {
+                view.encode_from(hdr);
+            }
+            view.flip_bit(f.bit);
+            let xcnt = hdr.xcnt;
+            view.decode_into(hdr);
+            if layout.xcnt_bits == 0 {
+                hdr.xcnt = xcnt;
+            }
+            *f.landed += 1;
+        }
+        hop += 1;
+        if pipeline.process_header(hdr).reported() {
+            break MemoVerdict::Loop {
+                trigger: node as u32,
+                hop,
+            };
+        }
+        if hop >= max_hops {
+            break MemoVerdict::TtlDropped { hops: hop };
+        }
+        let Some(next) = nodes.next() else {
+            break MemoVerdict::Delivered { hops: hop };
+        };
+        let Some(next_pipeline) = pipelines.get(next) else {
+            break MemoVerdict::RouteError { hops: hop };
+        };
+        (node, pipeline) = (next, next_pipeline);
+    };
+    // Every hop before a report continued, so only a first-hop report
+    // leaves nothing to write back: the frame stays as it came, as after
+    // a report at a real switch.
+    if !matches!(end, MemoVerdict::Loop { hop: 1, .. }) {
+        view.encode_from(hdr);
+    }
+    end
+}
 
 #[cfg(test)]
 mod tests {
@@ -1038,8 +980,8 @@ mod tests {
 
     #[test]
     fn looping_route_with_invalid_cycle_hop_errors_out() {
-        // The invalid hop sits inside the cycle: the pre-computed
-        // err_hop must stop the walk there instead of letting the
+        // The invalid hop sits inside the cycle: the walk's checked
+        // pipeline lookup must stop it there instead of letting the
         // wrapped cycle cursor index out of the pipeline array.
         let (mut worker, producer, _ev_rx) = worker_fixture(3, 64);
         let route = install_route(&mut worker, PathSpec::looping(vec![0], vec![1, 88]));
@@ -1363,12 +1305,12 @@ mod tests {
     }
 
     #[test]
-    fn route_swap_rekeys_the_validity_cache() {
-        // Gen 1: a 3-hop route whose last hop (99) is invalid — the
-        // cached err_hop is 2. Gen 2 swaps the *same slot* to a 6-hop
-        // fully valid route: a stale validity cache would flag hop 2 of
-        // the new route as a spurious `route_error` (or, worse, let the
-        // walk index past the old route's end).
+    fn route_errors_follow_the_swapped_route() {
+        // Gen 1: a 3-hop route whose last hop (99) is invalid — the walk
+        // errors at hop 2. Gen 2 swaps the *same slot* to a 6-hop fully
+        // valid route: a verdict carried over from the old route would
+        // flag hop 2 of the new one as a spurious `route_error` (or,
+        // worse, index past the old route's end).
         let (mut worker, producer, _ev_rx) = worker_fixture(8, 64);
         let table = Arc::new(EpochRouteTable::new(RouteSet::from_specs(&[
             PathSpec::linear(vec![0, 1, 99]),
@@ -1480,10 +1422,11 @@ mod tests {
         // Gen 1: two valid routes, both warmed into the memo. Gen 2
         // keeps slot 0's route, swaps slot 1 to a route through an
         // unknown node and adds slot 2, a micro-loop. Slot 0 must keep
-        // serving its cached verdict with no new miss; slot 1 must be
-        // re-validated (route errors, never the stale `Delivered`);
-        // slot 2 is provisioned by the same pass. Sampling is off, so
-        // only the re-keying decides what each slot serves.
+        // serving its cached verdict with no new miss; slot 1's entry
+        // must be dropped, so it walks into a route error instead of
+        // serving the stale `Delivered`; slot 2 is provisioned by the
+        // same pass. Sampling is off, so only the re-keying decides
+        // what each slot serves.
         let (mut worker, producer, _ev_rx) = worker_fixture(6, 64);
         let table = Arc::new(EpochRouteTable::new(RouteSet::from_specs(&[
             PathSpec::linear(vec![0, 1, 2]),
@@ -1521,22 +1464,43 @@ mod tests {
             snap.delivered, 6,
             "slot 0 delivers on both sides of the swap"
         );
-        assert_eq!(snap.route_errors, 2, "slot 1 was re-validated");
+        assert_eq!(snap.route_errors, 2, "slot 1 walked its new route");
         assert_eq!(snap.loop_events, 2, "slot 2 was provisioned and walks");
     }
 
     #[test]
     fn rekey_touches_only_stale_slots() {
         let set = RouteSet::from_specs(&[PathSpec::linear(vec![0, 9])]);
-        // A deliberately wrong entry shows whether rekey wrote it.
-        let mut err_hops = vec![7];
-        rekey(&set, &set, 4, &mut err_hops, None);
-        assert_eq!(err_hops, [7], "a republished set costs nothing");
+        let verdict = MemoVerdict::Delivered { hops: 2 };
+        let mut memo = MemoTable::new(MemoConfig::default(), 1);
+        memo.invalidate(1);
+        memo.record(0, verdict, &[7]);
+        rekey(&set, &set, &mut memo);
+        assert_eq!(
+            memo.lookup_verdict(0),
+            Some(verdict),
+            "a republished set costs nothing"
+        );
         let equal = RouteSet::from_specs(&[PathSpec::linear(vec![0, 9])]);
-        rekey(&set, &equal, 4, &mut err_hops, None);
-        assert_eq!(err_hops, [7], "an equal route is not stale");
-        rekey(&RouteSet::default(), &equal, 4, &mut err_hops, None);
-        assert_eq!(err_hops, [1], "a slot the old set lacked is validated");
+        rekey(&set, &equal, &mut memo);
+        assert_eq!(
+            memo.lookup_verdict(0),
+            Some(verdict),
+            "an equal route is not stale"
+        );
+        let changed = RouteSet::from_specs(&[PathSpec::linear(vec![0, 8])]);
+        rekey(&equal, &changed, &mut memo);
+        assert_eq!(memo.lookup_verdict(0), None, "a changed route is dropped");
+        memo.record(0, verdict, &[7]);
+        let longer =
+            RouteSet::from_specs(&[PathSpec::linear(vec![0, 8]), PathSpec::linear(vec![1])]);
+        rekey(&RouteSet::default(), &longer, &mut memo);
+        assert_eq!(
+            memo.lookup_verdict(0),
+            None,
+            "a slot the old set lacked is dropped"
+        );
+        assert_eq!(memo.len(), 2, "and provisioned");
     }
 
     #[test]
@@ -1863,7 +1827,6 @@ mod tests {
             };
             let routes = RouteSet::from_specs(&[spec]);
             let route = routes.get(RouteId::from_index(0));
-            let err_hop = route.first_invalid_hop(nodes).unwrap_or(ROUTE_VALID);
 
             let mut frame = build_frame(
                 &layout,
@@ -1885,7 +1848,16 @@ mod tests {
             // A stale header from an earlier walk must not leak in.
             let mut hdr = WireHeader::initial(&layout);
             hdr.xcnt = 200;
-            let walked = worker.walk_frame(route, err_hop, &mut frame, &mut hdr, flip);
+            let mut landed = 0;
+            let walked = walk(
+                &worker.pipelines,
+                &layout,
+                route.nodes(),
+                max_hops,
+                &mut frame,
+                &mut hdr,
+                flip.map(|(at_hop, bit)| Flip { at_hop, bit, landed: &mut landed }),
+            );
             let mut flips = 0;
             let want = reference_walk(
                 &worker.pipelines,
@@ -1898,7 +1870,7 @@ mod tests {
             );
             prop_assert_eq!(walked, want);
             prop_assert_eq!(&frame, &reference, "final frame bytes");
-            prop_assert_eq!(worker.metrics.snapshot().bitflips_injected, flips);
+            prop_assert_eq!(landed, flips);
         }
     }
 }
