@@ -741,12 +741,9 @@ fn main() {
             .iter()
             .map(|s| s.route_swaps_observed)
             .sum();
-        let mut latency: Option<HistogramSnapshot> = None;
+        let mut latency = HistogramSnapshot::default();
         for snap in &report.shard_snapshots {
-            match &mut latency {
-                None => latency = Some(snap.detect_latency_ns.clone()),
-                Some(merged) => merged.merge(&snap.detect_latency_ns),
-            }
+            latency.merge(&snap.detect_latency_ns);
         }
         eprintln!(
             "churn: {} generations over {} link failures ({} rule deltas, {} routes changed), \
@@ -775,9 +772,7 @@ fn main() {
         churn_section.set("generations_retained", Json::UInt(table.retained() as u64));
         churn_section.set("generations_reclaimed", Json::UInt(table.reclaimed()));
         churn_section.set("capture_errors", Json::UInt(capture_errors));
-        if let Some(latency) = &latency {
-            churn_section.set("detect_latency_ns", latency.to_json());
-        }
+        churn_section.set("detect_latency_ns", latency.to_json());
         churn_section.set("dv_round_ns", source.dv_round_ns().to_json());
         churn_section.set("update_publish_ns", source.update_publish_ns().to_json());
         let mut rendered = report.to_json();

@@ -37,7 +37,7 @@
 
 use crate::epoch::EpochRouteTable;
 use crate::flow::FlowKey;
-use crate::metrics::{Histogram, HistogramSnapshot};
+use crate::metrics::HistogramSnapshot;
 use crate::packet::{EnginePacket, PathSpec};
 use crate::route::{RouteId, RouteSet};
 use crate::source::TrafficSource;
@@ -242,8 +242,8 @@ pub struct ChurnSource {
     rules_applied: u64,
     links_failed: u64,
     routes_changed: u64,
-    dv_round_ns: Histogram,
-    update_publish_ns: Histogram,
+    dv_round_ns: HistogramSnapshot,
+    update_publish_ns: HistogramSnapshot,
 }
 
 impl ChurnSource {
@@ -327,8 +327,8 @@ impl ChurnSource {
             rules_applied: 0,
             links_failed: 0,
             routes_changed: 0,
-            dv_round_ns: Histogram::default(),
-            update_publish_ns: Histogram::default(),
+            dv_round_ns: HistogramSnapshot::default(),
+            update_publish_ns: HistogramSnapshot::default(),
         }
     }
 
@@ -461,14 +461,14 @@ impl ChurnSource {
     /// Nanoseconds per control event spent in the DV step: the
     /// simulated control plane.
     pub fn dv_round_ns(&self) -> HistogramSnapshot {
-        self.dv_round_ns.snapshot()
+        self.dv_round_ns.clone()
     }
 
     /// Nanoseconds per published generation from the event's deltas
     /// to a generation the workers can see: checker apply, re-walk,
     /// route-set build and publish.
     pub fn update_publish_ns(&self) -> HistogramSnapshot {
-        self.update_publish_ns.snapshot()
+        self.update_publish_ns.clone()
     }
 
     /// Packets between control-plane events.

@@ -16,10 +16,10 @@
 //!   the configured [`FullPolicy`] drops (counted) or blocks. Nothing
 //!   queues unboundedly.
 //! * **No per-packet locks** — workers share their pipelines read-only
-//!   and tally their counters locally, adding them to the shard's
-//!   metrics once per batch; the only cross-thread traffic is the ring
-//!   hand-off, one uncontended lock per batch on each side, and the
-//!   (rare) loop-event channel.
+//!   and count each batch into their shard's counters under one lock;
+//!   the only cross-thread traffic is the ring hand-off, one
+//!   uncontended lock per batch on each side, that counter lock, and
+//!   the (rare) loop-event channel.
 //! * **Total accounting, even under faults** — every offered packet is
 //!   enqueued, dropped at a full ring, shed under overload, or
 //!   quarantined at ingress; every enqueued packet is processed or
@@ -44,7 +44,7 @@ use crate::metrics::{ShardMetrics, ShardSnapshot};
 use crate::packet::EnginePacket;
 use crate::ring::{ring, FullPolicy, RingCounters, RingCountersSnapshot};
 use crate::source::TrafficSource;
-use crate::supervise::{run_watchdog, Shedder, WatchShard, WatchdogReport};
+use crate::supervise::{run_watchdog, wait_or_stop, Shedder, WatchShard, WatchdogReport};
 use crate::worker::ShardWorker;
 use std::collections::HashSet;
 use std::fmt;
@@ -70,8 +70,10 @@ pub struct EngineConfig {
     pub params: UnrollerParams,
     /// Backpressure policy on full rings.
     pub full_policy: FullPolicy,
-    /// When set, a monitor thread prints a JSON metrics snapshot to
-    /// stderr at this interval while the run is live.
+    /// When set, a monitor thread prints the report's `wall_ns`,
+    /// `rings` and `shard_metrics` rows to stderr, one JSON line at this
+    /// interval while the run is live, and a last line, equal to the
+    /// report's rows, once it is done.
     pub snapshot_every: Option<Duration>,
     /// Fault-injection plan; [`FaultPlan::default`] (all rates zero)
     /// runs fault-free with zero hot-path overhead.
@@ -407,19 +409,7 @@ impl EngineReport {
         obj.set("watchdog", watchdog);
         obj.set(
             "rings",
-            Json::Array(
-                self.ring_snapshots
-                    .iter()
-                    .map(|r| {
-                        let mut o = Json::object();
-                        o.set("enqueued", Json::UInt(r.enqueued));
-                        o.set("dropped_full", Json::UInt(r.dropped_full));
-                        o.set("stalls", Json::UInt(r.stalls));
-                        o.set("shed", Json::UInt(r.shed));
-                        o
-                    })
-                    .collect(),
-            ),
+            Json::Array(self.ring_snapshots.iter().map(|r| r.to_json()).collect()),
         );
         obj.set(
             "shard_metrics",
@@ -534,8 +524,9 @@ impl Engine {
         let start = Instant::now();
         let mut offered = 0u64;
         let mut quarantined = 0u64;
+        // Raised once every worker and the aggregator have finished:
+        // stops the watchdog and the snapshot monitor.
         let done = AtomicBool::new(false);
-        let watchdog_stop = AtomicBool::new(false);
 
         let joined = std::thread::scope(|scope| {
             for (shard, consumer) in consumers.into_iter().enumerate() {
@@ -597,51 +588,44 @@ impl Engine {
                         kick: kicks[shard].clone(),
                     })
                     .collect();
-                let stop = &watchdog_stop;
+                let done = &done;
                 let wdpanic = plan.watchdog_panic;
                 scope.spawn(move || {
                     if wdpanic {
                         install_quiet_panic_hook();
                         inject_panic(usize::MAX);
                     }
-                    run_watchdog(&watch, interval, stop)
+                    run_watchdog(&watch, interval, done)
                 })
             });
 
-            if let Some(every) = self.cfg.snapshot_every {
-                let metrics = &metrics;
-                let ring_counters = &ring_counters;
-                let done = &done;
-                scope.spawn(move || {
-                    while !done.load(Ordering::Relaxed) {
-                        std::thread::sleep(every);
-                        let mut snap = Json::object();
-                        snap.set(
-                            "packets",
-                            Json::UInt(metrics.iter().map(|m| m.snapshot().packets).sum::<u64>()),
-                        );
-                        snap.set(
-                            "dropped_full",
-                            Json::UInt(
-                                ring_counters
-                                    .iter()
-                                    .map(|r| r.snapshot().dropped_full)
-                                    .sum::<u64>(),
-                            ),
-                        );
-                        snap.set(
-                            "loop_events",
-                            Json::UInt(
-                                metrics
-                                    .iter()
-                                    .map(|m| m.snapshot().loop_events)
-                                    .sum::<u64>(),
-                            ),
-                        );
-                        eprintln!("{}", snap.render());
+            // The live monitor prints the report's own rows, and a last
+            // line once the run is done, which equals the report's.
+            let monitor_handle = self.cfg.snapshot_every.map(|every| {
+                let (metrics, ring_counters, done) = (&metrics, &ring_counters, &done);
+                scope.spawn(move || loop {
+                    let stopped = wait_or_stop(every, done);
+                    let mut snap = Json::object();
+                    snap.set("wall_ns", Json::UInt(start.elapsed().as_nanos() as u64));
+                    snap.set(
+                        "rings",
+                        Json::Array(
+                            ring_counters
+                                .iter()
+                                .map(|r| r.snapshot().to_json())
+                                .collect(),
+                        ),
+                    );
+                    snap.set(
+                        "shard_metrics",
+                        Json::Array(metrics.iter().map(|m| m.snapshot().to_json()).collect()),
+                    );
+                    eprintln!("{}", snap.render());
+                    if stopped {
+                        break;
                     }
-                });
-            }
+                })
+            });
 
             // The dispatcher: pull bursts from the source, RSS each
             // packet into a per-shard staging buffer — minus
@@ -685,8 +669,16 @@ impl Engine {
             // drop as they exit, which ends the aggregator.
             drop(producers);
             let aggregator = agg_handle.join();
-            done.store(true, Ordering::Relaxed);
-            watchdog_stop.store(true, Ordering::Relaxed);
+            // Release pairs with `wait_or_stop`'s Acquire: the watchdog
+            // and the monitor wake to the final counts, now, not at the
+            // end of their interval.
+            done.store(true, Ordering::Release);
+            if let Some(h) = &watchdog_handle {
+                h.thread().unpark();
+            }
+            if let Some(h) = &monitor_handle {
+                h.thread().unpark();
+            }
             // A watchdog panic must not abort a finished run: every
             // packet is already accounted, so degrade to the default
             // (all-zero) summary and surface the panic message instead
@@ -938,6 +930,28 @@ mod tests {
         ] {
             assert!(rendered.contains(key), "missing {key}");
         }
+    }
+
+    #[test]
+    fn wall_clock_stops_when_the_work_stops() {
+        // The watchdog and the snapshot monitor wait out whole intervals
+        // between polls; the end of the run must wake them, not outwait
+        // them.
+        let engine = Engine::new(
+            EngineConfig {
+                watchdog: Some(Duration::from_secs(10)),
+                snapshot_every: Some(Duration::from_secs(10)),
+                ..EngineConfig::default()
+            },
+            &ids(16),
+        )
+        .unwrap();
+        let mut source = SyntheticSource::new(16, 4, 1_000, 0, 0, 3);
+        let start = Instant::now();
+        let report = engine.run(&mut source).expect("fault-free run");
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(5), "run took {elapsed:?}");
+        assert!(report.wall_ns < 5_000_000_000, "wall_ns {}", report.wall_ns);
     }
 
     #[test]

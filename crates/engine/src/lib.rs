@@ -15,8 +15,9 @@
 //! shard suppresses a trapped flow's repeat detections first, in a
 //! fixed-size report table that re-reports on a back-off schedule; the
 //! aggregator's per-flow dedupe behind it stays exact. A metrics layer
-//! ([`metrics`]) keeps per-shard counters, which each worker tallies
-//! locally and adds once per batch, and latency histograms. The
+//! ([`metrics`]) keeps one counter set per shard, counters and latency
+//! histograms that each worker counts a batch into under one lock, and
+//! that the report and every live snapshot print as the same rows. The
 //! engine's throughput, CPU cost per packet and detection latency are
 //! measured end to end by the `perfbench` package at the repository
 //! root (`python3 perfbench/run.py`).
@@ -77,7 +78,7 @@ pub use faults::{FaultPlan, FaultSpecError, SplitMix64};
 pub use flow::FlowKey;
 pub use json::Json;
 pub use memo::{MemoConfig, MemoTable, MemoVerdict, DEFAULT_SAMPLE_EVERY};
-pub use metrics::{Histogram, HistogramSnapshot, ShardMetrics, ShardSnapshot};
+pub use metrics::{HistogramSnapshot, ShardMetrics, ShardSnapshot};
 pub use packet::{EnginePacket, PathSpec};
 pub use ring::{BatchPush, FullPolicy, PushOutcome, RingCounters, RingCountersSnapshot};
 pub use route::{CompiledRoute, RouteId, RouteSet, RouteSetBuilder};

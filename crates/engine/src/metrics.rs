@@ -1,76 +1,27 @@
-//! Live engine metrics: lock-free counters, fixed-bucket histograms,
-//! and per-thread CPU-time measurement.
+//! Live engine metrics: one counter set per shard, a fixed-bucket
+//! histogram, and per-thread CPU-time measurement.
 //!
-//! Counters are atomics on shard-owned structures. A worker tallies its
-//! per-packet counters in plain integers and adds each nonzero count
-//! here once per batch, outcomes before `packets`; only rare fault
-//! counters are added as they happen. Workers never take a lock and
-//! never contend with the snapshot reader, and a live reader lags by
-//! at most one batch. Histograms use power-of-two buckets (65 of them
-//! cover the full `u64` range), so recording is a `leading_zeros` and
-//! one atomic increment; good enough to read batch-size and latency
-//! shape without per-sample allocation.
+//! A shard's counters are one [`ShardSnapshot`] behind a lock, its
+//! [`ShardMetrics`]. The worker takes that lock once per batch, after
+//! its ring pull and any injected stall, counts the batch into it with
+//! plain adds and releases it when the batch ends. The watchdog, the
+//! live snapshot monitor and the report lock it and clone it, so a
+//! reader sees whole batches only and lags by at most one. Histograms
+//! use power-of-two buckets (65 of them cover the full `u64` range), so
+//! recording is a `leading_zeros` and four adds; good enough to read
+//! batch-size and latency shape without per-sample allocation.
 
 use crate::json::Json;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Number of histogram buckets: one per power of two, plus the zero
-/// bucket (`value 0` → bucket 0, `value v > 0` → `64 - v.leading_zeros()`).
+/// bucket (`value v` → bucket `64 - v.leading_zeros()`, so 0 → bucket 0).
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-/// A fixed-bucket (power-of-two) histogram with atomic counters.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        let bucket = if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() as usize
-        };
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough copy for reporting (relaxed reads; exact
-    /// once the recording thread has finished).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`Histogram`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A fixed-bucket (power-of-two) histogram. [`Default`] holds all
+/// [`HISTOGRAM_BUCKETS`] buckets, empty, so recording into it or
+/// merging into it never loses a bucket.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (`buckets[k]` holds values in
     /// `[2^(k-1), 2^k)`; bucket 0 holds zeros).
@@ -83,7 +34,29 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
+impl Default for HistogramSnapshot {
+    fn default() -> Self {
+        HistogramSnapshot {
+            buckets: vec![0; HISTOGRAM_BUCKETS],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+}
+
 impl HistogramSnapshot {
+    /// Records one sample.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.buckets[(u64::BITS - value.leading_zeros()) as usize] += 1;
+        self.count += 1;
+        // Wraps, never panics: a panic under the worker's counter lock
+        // would poison it.
+        self.sum = self.sum.wrapping_add(value);
+        self.max = self.max.max(value);
+    }
+
     /// Mean sample value (0.0 when empty — see
     /// [`SimStats::mean_latency`](unroller_sim::SimStats::mean_latency)
     /// for why empty aggregates must not produce NaN).
@@ -138,196 +111,27 @@ impl HistogramSnapshot {
     }
 }
 
-/// Per-shard metrics block, shared between the worker (writer) and the
-/// snapshot/report reader. All fields are independently atomic; the
-/// worker owns the only hot-path reference.
+/// One shard's counters behind one lock, shared between its worker
+/// (the writer) and the watchdog, the live snapshot monitor and the
+/// report (the readers). The worker holds the lock for one batch at a
+/// time, so a reader sees whole batches only.
 #[derive(Debug, Default)]
-pub struct ShardMetrics {
-    /// Packets fully processed (delivered + ttl_dropped + loop_events +
-    /// route_errors + frame_errors). The worker adds each batch here
-    /// with `Release` after that batch's outcome counters, so a reader
-    /// that loads it with `Acquire` sees those outcomes too.
-    pub packets: AtomicU64,
-    /// Switch-hops executed across all packets.
-    pub hops: AtomicU64,
-    /// Packets that reached their destination.
-    pub delivered: AtomicU64,
-    /// Packets dropped on TTL expiry (still looping, undetected).
-    pub ttl_dropped: AtomicU64,
-    /// Loop detections: packets whose walk ended in a loop report
-    /// (`events_sent + events_suppressed`).
-    pub loop_events: AtomicU64,
-    /// Detections the shard's report table reported as loop events,
-    /// counted before the event-fault fate is drawn.
-    pub events_sent: AtomicU64,
-    /// Detections the report table suppressed as repeats of a flow it
-    /// reported recently (no event built, nothing sent).
-    pub events_suppressed: AtomicU64,
-    /// Batches pulled off this shard's ring.
-    pub batches: AtomicU64,
-    /// Packets whose path referenced an unknown switch.
-    pub route_errors: AtomicU64,
-    /// Packets whose wire frame failed validation (too short for the
-    /// shim, wrong EtherType) — replayed captures can carry such runts.
-    pub frame_errors: AtomicU64,
-    /// Batch-size distribution.
-    pub batch_sizes: Histogram,
-    /// Nanoseconds spent blocked waiting on the ring, per batch.
-    pub wait_ns: Histogram,
-    /// Nanoseconds spent processing, per batch.
-    pub proc_ns: Histogram,
-    /// Thread CPU time consumed by this shard's worker (utime+stime),
-    /// written once at worker exit; 0 until then or if unavailable.
-    pub cpu_ns: AtomicU64,
-    /// Worker panics caught and recovered from by the supervisor
-    /// (injected or real).
-    pub restarts: AtomicU64,
-    /// Panics injected by the fault plan (subset of `restarts` unless
-    /// a real bug also fired).
-    pub panics_injected: AtomicU64,
-    /// Packets lost to a panic mid-processing (each panic loses exactly
-    /// the packet being processed; the supervisor resumes the batch).
-    pub panic_lost: AtomicU64,
-    /// Header bit-flips injected by the fault plan.
-    pub bitflips_injected: AtomicU64,
-    /// Ring stalls injected by the fault plan.
-    pub stalls_injected: AtomicU64,
-    /// Injected stalls cut short by a watchdog kick.
-    pub stalls_aborted: AtomicU64,
-    /// Loop events the fault plan dropped before they reached the
-    /// aggregator.
-    pub events_dropped_injected: AtomicU64,
-    /// Loop events the fault plan delivered twice.
-    pub events_duplicated_injected: AtomicU64,
-    /// Loop-event sends that failed because the aggregator was gone
-    /// (tolerated, not panicked on).
-    pub events_send_failed: AtomicU64,
-    /// Route-table generation swaps this shard observed (reader
-    /// refreshes that actually moved generations).
-    pub route_swaps_observed: AtomicU64,
-    /// Loop detections against a route generation published *after*
-    /// this worker started — live detections, not replay.
-    pub loops_after_swap: AtomicU64,
-    /// Detection latency: generation publish → the first detection
-    /// this shard made against that generation (ns, one sample per
-    /// generation per shard).
-    pub detect_latency_ns: Histogram,
-    /// Generated packets settled straight from the per-route memo table
-    /// (no pipeline walk).
-    pub memo_hits: AtomicU64,
-    /// Memo-eligible packets that had to walk because their route slot
-    /// held no entry yet (each miss warms the slot).
-    pub memo_misses: AtomicU64,
-    /// Cache hits that additionally performed the full walk for the
-    /// 1-in-N sampling cross-check.
-    pub memo_sampled_walks: AtomicU64,
-    /// Sampled walks whose verdict or final shim differed from the
-    /// cached entry. Must stay 0; CI treats any divergence as fatal.
-    pub memo_divergence: AtomicU64,
-}
-
-/// A point-in-time copy of one shard's metrics.
-#[derive(Debug, Clone, Default)]
-pub struct ShardSnapshot {
-    /// Packets fully processed.
-    pub packets: u64,
-    /// Switch-hops executed.
-    pub hops: u64,
-    /// Packets delivered.
-    pub delivered: u64,
-    /// TTL drops.
-    pub ttl_dropped: u64,
-    /// Loop detections (`events_sent + events_suppressed`).
-    pub loop_events: u64,
-    /// Detections reported as loop events (before event faults).
-    pub events_sent: u64,
-    /// Detections suppressed by the report table.
-    pub events_suppressed: u64,
-    /// Batches processed.
-    pub batches: u64,
-    /// Unknown-switch path errors.
-    pub route_errors: u64,
-    /// Malformed-frame errors (runt or wrong-EtherType wire bytes).
-    pub frame_errors: u64,
-    /// Batch-size distribution.
-    pub batch_sizes: HistogramSnapshot,
-    /// Per-batch ring-wait latency (ns).
-    pub wait_ns: HistogramSnapshot,
-    /// Per-batch processing latency (ns).
-    pub proc_ns: HistogramSnapshot,
-    /// Worker thread CPU time (ns); 0 if not yet recorded.
-    pub cpu_ns: u64,
-    /// Supervisor restarts after worker panics.
-    pub restarts: u64,
-    /// Fault-plan panics injected.
-    pub panics_injected: u64,
-    /// Packets lost to panics (accounted, never silent).
-    pub panic_lost: u64,
-    /// Fault-plan header bit-flips injected.
-    pub bitflips_injected: u64,
-    /// Fault-plan ring stalls injected.
-    pub stalls_injected: u64,
-    /// Injected stalls aborted early by the watchdog.
-    pub stalls_aborted: u64,
-    /// Loop events dropped by the fault plan.
-    pub events_dropped_injected: u64,
-    /// Loop events duplicated by the fault plan.
-    pub events_duplicated_injected: u64,
-    /// Loop-event sends that failed post-aggregator-teardown.
-    pub events_send_failed: u64,
-    /// Route-table generation swaps observed.
-    pub route_swaps_observed: u64,
-    /// Loop detections against post-startup route generations.
-    pub loops_after_swap: u64,
-    /// Swap-publish → first-detection latency per generation (ns).
-    pub detect_latency_ns: HistogramSnapshot,
-    /// Packets settled from the memo table without walking.
-    pub memo_hits: u64,
-    /// Memo-eligible packets that walked to warm their slot.
-    pub memo_misses: u64,
-    /// Hits cross-checked with a full walk by the sampler.
-    pub memo_sampled_walks: u64,
-    /// Cross-checks that disagreed with the cache (must be 0).
-    pub memo_divergence: u64,
-}
+pub struct ShardMetrics(Mutex<ShardSnapshot>);
 
 impl ShardMetrics {
-    /// Copies every counter and histogram. `packets` is read first,
-    /// with `Acquire`, so the outcome counters cover every batch it
-    /// counts.
+    /// Locks the counters. Only a panic in the worker outside its
+    /// supervised packet loop, while it counts a batch, can poison the
+    /// lock; that panic fails the run, so a reader fails with it.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ShardSnapshot> {
+        self.0
+            .lock()
+            .expect("a shard worker panicked while counting a batch")
+    }
+
+    /// A copy of every counter and histogram, as of the last whole
+    /// batch.
     pub fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot {
-            packets: self.packets.load(Ordering::Acquire),
-            hops: self.hops.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            ttl_dropped: self.ttl_dropped.load(Ordering::Relaxed),
-            loop_events: self.loop_events.load(Ordering::Relaxed),
-            events_sent: self.events_sent.load(Ordering::Relaxed),
-            events_suppressed: self.events_suppressed.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            route_errors: self.route_errors.load(Ordering::Relaxed),
-            frame_errors: self.frame_errors.load(Ordering::Relaxed),
-            batch_sizes: self.batch_sizes.snapshot(),
-            wait_ns: self.wait_ns.snapshot(),
-            proc_ns: self.proc_ns.snapshot(),
-            cpu_ns: self.cpu_ns.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            panics_injected: self.panics_injected.load(Ordering::Relaxed),
-            panic_lost: self.panic_lost.load(Ordering::Relaxed),
-            bitflips_injected: self.bitflips_injected.load(Ordering::Relaxed),
-            stalls_injected: self.stalls_injected.load(Ordering::Relaxed),
-            stalls_aborted: self.stalls_aborted.load(Ordering::Relaxed),
-            events_dropped_injected: self.events_dropped_injected.load(Ordering::Relaxed),
-            events_duplicated_injected: self.events_duplicated_injected.load(Ordering::Relaxed),
-            events_send_failed: self.events_send_failed.load(Ordering::Relaxed),
-            route_swaps_observed: self.route_swaps_observed.load(Ordering::Relaxed),
-            loops_after_swap: self.loops_after_swap.load(Ordering::Relaxed),
-            detect_latency_ns: self.detect_latency_ns.snapshot(),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            memo_misses: self.memo_misses.load(Ordering::Relaxed),
-            memo_sampled_walks: self.memo_sampled_walks.load(Ordering::Relaxed),
-            memo_divergence: self.memo_divergence.load(Ordering::Relaxed),
-        }
+        self.lock().clone()
     }
 
     /// Packets this shard has *consumed* off its ring: processed plus
@@ -335,8 +139,95 @@ impl ShardMetrics {
     /// consumed count stops moving while its ring still holds packets
     /// is stalled, whatever the cause.
     pub fn consumed(&self) -> u64 {
-        self.packets.load(Ordering::Acquire) + self.panic_lost.load(Ordering::Relaxed)
+        let counts = self.lock();
+        counts.packets + counts.panic_lost
     }
+}
+
+/// One shard's counters and histograms: the set its worker counts each
+/// batch into, under its [`ShardMetrics`] lock, and the row the report
+/// and every live snapshot print.
+#[derive(Debug, Clone, Default)]
+pub struct ShardSnapshot {
+    /// Packets fully processed (delivered + ttl_dropped + loop_events +
+    /// route_errors + frame_errors).
+    pub packets: u64,
+    /// Switch-hops executed across all packets.
+    pub hops: u64,
+    /// Packets that reached their destination.
+    pub delivered: u64,
+    /// Packets dropped on TTL expiry (still looping, undetected).
+    pub ttl_dropped: u64,
+    /// Loop detections: packets whose walk ended in a loop report
+    /// (`events_sent + events_suppressed`).
+    pub loop_events: u64,
+    /// Detections the shard's report table reported as loop events,
+    /// counted before the event-fault fate is drawn.
+    pub events_sent: u64,
+    /// Detections the report table suppressed as repeats of a flow it
+    /// reported recently (no event built, nothing sent).
+    pub events_suppressed: u64,
+    /// Batches pulled off this shard's ring.
+    pub batches: u64,
+    /// Packets whose path referenced an unknown switch.
+    pub route_errors: u64,
+    /// Packets whose wire frame failed validation (too short for the
+    /// shim, wrong EtherType) — replayed captures can carry such runts.
+    pub frame_errors: u64,
+    /// Batch-size distribution.
+    pub batch_sizes: HistogramSnapshot,
+    /// Nanoseconds spent blocked waiting on the ring, per batch.
+    pub wait_ns: HistogramSnapshot,
+    /// Nanoseconds spent processing, per batch.
+    pub proc_ns: HistogramSnapshot,
+    /// Thread CPU time consumed by this shard's worker (utime+stime),
+    /// written once at worker exit; 0 until then or if unavailable.
+    pub cpu_ns: u64,
+    /// Worker panics caught and recovered from by the supervisor
+    /// (injected or real).
+    pub restarts: u64,
+    /// Panics injected by the fault plan (subset of `restarts` unless
+    /// a real bug also fired).
+    pub panics_injected: u64,
+    /// Packets lost to a panic mid-processing (each panic loses exactly
+    /// the packet being processed; the supervisor resumes the batch).
+    pub panic_lost: u64,
+    /// Header bit-flips injected by the fault plan.
+    pub bitflips_injected: u64,
+    /// Ring stalls injected by the fault plan.
+    pub stalls_injected: u64,
+    /// Injected stalls cut short by a watchdog kick.
+    pub stalls_aborted: u64,
+    /// Loop events the fault plan dropped before they reached the
+    /// aggregator.
+    pub events_dropped_injected: u64,
+    /// Loop events the fault plan delivered twice.
+    pub events_duplicated_injected: u64,
+    /// Loop-event sends that failed because the aggregator was gone
+    /// (tolerated, not panicked on).
+    pub events_send_failed: u64,
+    /// Route-table generation swaps this shard observed (reader
+    /// refreshes that actually moved generations).
+    pub route_swaps_observed: u64,
+    /// Loop detections against a route generation published *after*
+    /// this worker started — live detections, not replay.
+    pub loops_after_swap: u64,
+    /// Detection latency: generation publish → the first detection
+    /// this shard made against that generation (ns, one sample per
+    /// generation per shard).
+    pub detect_latency_ns: HistogramSnapshot,
+    /// Generated packets settled straight from the per-route memo table
+    /// (no pipeline walk).
+    pub memo_hits: u64,
+    /// Memo-eligible packets that had to walk because their route slot
+    /// held no entry yet (each miss warms the slot).
+    pub memo_misses: u64,
+    /// Cache hits that additionally performed the full walk for the
+    /// 1-in-N sampling cross-check.
+    pub memo_sampled_walks: u64,
+    /// Sampled walks whose verdict or final shim differed from the
+    /// cached entry. Must stay 0; CI treats any divergence as fatal.
+    pub memo_divergence: u64,
 }
 
 impl ShardSnapshot {
@@ -447,13 +338,12 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_power_of_two() {
-        let h = Histogram::default();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        let snap = h.snapshot();
+        let mut snap = HistogramSnapshot::default();
+        snap.record(0);
+        snap.record(1);
+        snap.record(2);
+        snap.record(3);
+        snap.record(1024);
         assert_eq!(snap.count, 5);
         assert_eq!(snap.sum, 1030);
         assert_eq!(snap.max, 1024);
@@ -465,16 +355,15 @@ mod tests {
 
     #[test]
     fn histogram_extremes_do_not_panic() {
-        let h = Histogram::default();
-        h.record(u64::MAX);
-        let snap = h.snapshot();
+        let mut snap = HistogramSnapshot::default();
+        snap.record(u64::MAX);
         assert_eq!(snap.buckets[64], 1);
         assert_eq!(snap.max, u64::MAX);
     }
 
     #[test]
     fn empty_histogram_mean_is_zero_not_nan() {
-        let snap = Histogram::default().snapshot();
+        let snap = HistogramSnapshot::default();
         assert_eq!(snap.mean(), 0.0);
         assert!(!snap.mean().is_nan());
         assert_eq!(snap.quantile_bound(0.99), 0);
@@ -482,11 +371,10 @@ mod tests {
 
     #[test]
     fn quantile_bound_is_within_a_factor_of_two() {
-        let h = Histogram::default();
+        let mut snap = HistogramSnapshot::default();
         for v in 1..=1000u64 {
-            h.record(v);
+            snap.record(v);
         }
-        let snap = h.snapshot();
         let p50 = snap.quantile_bound(0.50);
         assert!((500..=1024).contains(&p50), "p50 bound {p50}");
         let p99 = snap.quantile_bound(0.99);
@@ -494,13 +382,25 @@ mod tests {
     }
 
     #[test]
+    fn merging_into_a_default_histogram_keeps_every_bucket() {
+        let mut recorded = HistogramSnapshot::default();
+        for v in [0, 3, 1024] {
+            recorded.record(v);
+        }
+        let mut merged = HistogramSnapshot::default();
+        merged.merge(&recorded);
+        assert_eq!(merged, recorded);
+        assert_eq!(merged.quantile_bound(0.5), 4);
+    }
+
+    #[test]
     fn shard_snapshot_capacity_prefers_cpu_time() {
         let m = ShardMetrics::default();
-        m.packets.store(1_000, Ordering::Relaxed);
-        m.proc_ns.record(2_000_000_000); // 2 s of measured proc time
+        m.lock().packets = 1_000;
+        m.lock().proc_ns.record(2_000_000_000); // 2 s of measured proc time
         let from_proc = m.snapshot().capacity_pps();
         assert!((from_proc - 500.0).abs() < 1.0, "{from_proc}");
-        m.cpu_ns.store(1_000_000_000, Ordering::Relaxed); // 1 s CPU
+        m.lock().cpu_ns = 1_000_000_000; // 1 s CPU
         let from_cpu = m.snapshot().capacity_pps();
         assert!((from_cpu - 1_000.0).abs() < 1.0, "{from_cpu}");
     }
@@ -528,7 +428,7 @@ mod tests {
     #[test]
     fn snapshot_json_has_the_report_fields() {
         let m = ShardMetrics::default();
-        m.packets.store(5, Ordering::Relaxed);
+        m.lock().packets = 5;
         let rendered = m.snapshot().to_json().render();
         for key in ["packets", "capacity_pps", "batch_size", "proc_ns"] {
             assert!(rendered.contains(key), "missing {key} in {rendered}");

@@ -26,6 +26,7 @@
 //! after moving items, so a wakeup is never lost; the fast path pays
 //! no notify when nobody is parked.
 
+use crate::json::Json;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -133,6 +134,18 @@ impl RingCounters {
             stalls: self.stalls.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
         }
+    }
+}
+
+impl RingCountersSnapshot {
+    /// Serializes this ring's row of the report.
+    pub fn to_json(&self) -> Json {
+        let mut obj = Json::object();
+        obj.set("enqueued", Json::UInt(self.enqueued));
+        obj.set("dropped_full", Json::UInt(self.dropped_full));
+        obj.set("stalls", Json::UInt(self.stalls));
+        obj.set("shed", Json::UInt(self.shed));
+        obj
     }
 }
 

@@ -24,7 +24,7 @@ use crate::metrics::ShardMetrics;
 use crate::ring::{BatchPush, PushOutcome, RingCounters};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Saturated-push streak at which a shard counts as overloaded.
 pub const SATURATION_THRESHOLD: u32 = 8;
@@ -56,10 +56,32 @@ pub struct WatchdogReport {
     pub kicks: u64,
 }
 
+/// Parks the calling thread for `interval`, or until `stop` is raised;
+/// whoever raises it unparks this thread. Returns whether `stop` is
+/// raised. A wake-up with `stop` still down parks again for the rest of
+/// the interval, so a caller that polls between waits polls at most
+/// once per interval.
+pub(crate) fn wait_or_stop(interval: Duration, stop: &AtomicBool) -> bool {
+    let start = Instant::now();
+    loop {
+        // Acquire pairs with the engine's Release store of the flag: a
+        // waiter that sees it raised sees every count made before it.
+        if stop.load(Ordering::Acquire) {
+            return true;
+        }
+        let left = interval.saturating_sub(start.elapsed());
+        if left.is_zero() {
+            return false;
+        }
+        std::thread::park_timeout(left);
+    }
+}
+
 /// Polls the shards every `interval` until `stop` is raised, kicking
 /// any shard that made no consumption progress while its ring held
 /// packets. Returns the tally. Runs on the caller's thread — the
-/// engine spawns it inside its worker scope.
+/// engine spawns it inside its worker scope and unparks it when it
+/// raises `stop`.
 pub fn run_watchdog(
     shards: &[WatchShard],
     interval: Duration,
@@ -67,11 +89,7 @@ pub fn run_watchdog(
 ) -> WatchdogReport {
     let mut report = WatchdogReport::default();
     let mut last_consumed: Vec<u64> = shards.iter().map(|s| s.metrics.consumed()).collect();
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(interval);
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
+    while !wait_or_stop(interval, stop) {
         report.polls += 1;
         for (shard, watch) in shards.iter().enumerate() {
             let consumed = watch.metrics.consumed();

@@ -4,12 +4,12 @@
 //! Every shard reads the same per-switch [`UnrollerPipeline`]s,
 //! indexed by node, through one shared `Arc`: register files are
 //! read-only per packet, so sharing them needs no synchronization and
-//! the hot loop writes only shard-owned state. Per-packet counters go
-//! into a plain-integer tally that is added into the shard's atomic
-//! [`ShardMetrics`] once per batch, outcomes before `packets`. Flow
-//! affinity is what makes the rest sound: a flow's packets all arrive
-//! on this one shard, so nothing about a packet's journey is ever
-//! visible to another thread.
+//! the hot loop writes only shard-owned state. The worker locks its
+//! shard's counters ([`ShardMetrics`]) once per batch, after the ring
+//! pull and any injected stall, and counts the batch into them with
+//! plain adds until the batch ends. Flow affinity is what makes the
+//! rest sound: a flow's packets all arrive on this one shard, so
+//! nothing about a packet's journey is ever visible to another thread.
 //!
 //! **Wire-frame hot path: validate once, decode once, encode once.**
 //! Every packet resolves its route once, then settles, in batch order
@@ -79,13 +79,13 @@
 //! `panic_lost`, never silent — and the supervisor restarts the shard
 //! in place: a clean scratch frame, header and report table (so its
 //! flows just report again), an emptied memo, and the batch resumed at
-//! the next packet. The tally lives outside the restart, so the counts
-//! of the batch's packets before the panic survive it. The pipelines
-//! need no reset: no walk writes to them. Flows stay pinned to the
-//! shard because the ring, and therefore the flow → shard mapping,
-//! never changes. A per-shard restart budget bounds pathological
-//! inputs: once exhausted the shard drains its ring into the loss
-//! counters instead of looping on poison forever.
+//! the next packet. The counters stay locked across the restart, so the
+//! counts of the batch's packets before the panic survive it. The
+//! pipelines need no reset: no walk writes to them. Flows stay pinned
+//! to the shard because the ring, and therefore the flow → shard
+//! mapping, never changes. A per-shard restart budget bounds
+//! pathological inputs: once exhausted the shard drains its ring into
+//! the loss counters instead of looping on poison forever.
 
 use crate::aggregate::LoopEvent;
 use crate::epoch::RouteReader;
@@ -94,7 +94,7 @@ use crate::faults::{
 };
 use crate::flow::FlowKey;
 use crate::memo::{MemoConfig, MemoTable, MemoVerdict};
-use crate::metrics::{thread_cpu_ns, ShardMetrics};
+use crate::metrics::{thread_cpu_ns, ShardMetrics, ShardSnapshot};
 use crate::packet::EnginePacket;
 use crate::ring::RingConsumer;
 use crate::route::{CompiledRoute, RouteId, RouteSet};
@@ -239,75 +239,6 @@ fn rekey(old: &RouteSet, new: &RouteSet, memo: &mut MemoTable) {
     }
 }
 
-/// A shard's per-packet counters between two flushes: plain integers
-/// that `process` and its callees bump per packet, added into the
-/// shard's [`ShardMetrics`] once per batch by [`Tally::flush_into`].
-/// `run` owns it outside the restart loop, so a supervised restart keeps
-/// the counts of the packets processed before the panic.
-#[derive(Default)]
-struct Tally {
-    hops: u64,
-    delivered: u64,
-    ttl_dropped: u64,
-    route_errors: u64,
-    frame_errors: u64,
-    loop_events: u64,
-    events_sent: u64,
-    events_suppressed: u64,
-    loops_after_swap: u64,
-    memo_hits: u64,
-    memo_misses: u64,
-    memo_sampled_walks: u64,
-    memo_divergence: u64,
-    bitflips_injected: u64,
-    /// Highest generation a detection latency was recorded for, so each
-    /// generation gets one sample per shard. Never flushed.
-    latency_gen: u64,
-}
-
-impl Tally {
-    /// Adds each nonzero counter into `metrics` once and zeroes it.
-    fn flush_into(&mut self, metrics: &ShardMetrics) {
-        let Tally {
-            hops,
-            delivered,
-            ttl_dropped,
-            route_errors,
-            frame_errors,
-            loop_events,
-            events_sent,
-            events_suppressed,
-            loops_after_swap,
-            memo_hits,
-            memo_misses,
-            memo_sampled_walks,
-            memo_divergence,
-            bitflips_injected,
-            latency_gen: _,
-        } = self;
-        for (count, counter) in [
-            (hops, &metrics.hops),
-            (delivered, &metrics.delivered),
-            (ttl_dropped, &metrics.ttl_dropped),
-            (route_errors, &metrics.route_errors),
-            (frame_errors, &metrics.frame_errors),
-            (loop_events, &metrics.loop_events),
-            (events_sent, &metrics.events_sent),
-            (events_suppressed, &metrics.events_suppressed),
-            (loops_after_swap, &metrics.loops_after_swap),
-            (memo_hits, &metrics.memo_hits),
-            (memo_misses, &metrics.memo_misses),
-            (memo_sampled_walks, &metrics.memo_sampled_walks),
-            (memo_divergence, &metrics.memo_divergence),
-            (bitflips_injected, &metrics.bitflips_injected),
-        ] {
-            if *count > 0 {
-                counter.fetch_add(std::mem::take(count), Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 /// One shard's processing loop.
 pub struct ShardWorker {
     /// Shard index (for event attribution).
@@ -329,7 +260,7 @@ pub struct ShardWorker {
     pub max_hops: u32,
     /// Batch ceiling per ring pull.
     pub batch_size: usize,
-    /// This shard's metrics block.
+    /// This shard's counters, locked once per batch.
     pub metrics: Arc<ShardMetrics>,
     /// Loop events out (MPSC toward the aggregator).
     pub events: Sender<LoopEvent>,
@@ -363,7 +294,9 @@ impl ShardWorker {
             table
         });
         let mut scratch = self.scratch();
-        let mut tally = Tally::default();
+        // Highest generation a detection latency was recorded for, so
+        // each generation gets one sample per shard, restarts included.
+        let mut latency_gen = 0u64;
         let mut batch: Vec<EnginePacket> = Vec::with_capacity(self.batch_size);
         let mut pfaults: Vec<PacketFault> = Vec::new();
         let mut faults = self.faults.take();
@@ -371,7 +304,6 @@ impl ShardWorker {
             .as_ref()
             .map(|f| f.max_restarts())
             .unwrap_or(u64::MAX);
-        let mut restarts = 0u64;
         let mut draining_only = false;
         loop {
             batch.clear();
@@ -380,9 +312,22 @@ impl ShardWorker {
                 break;
             }
             let proc_start = Instant::now();
-            self.metrics
+            // An injected stall runs before the counters are locked, so
+            // the watchdog can still read them and kick this shard.
+            let stall = match faults.as_mut() {
+                Some(f) if !draining_only => f.batch_stall().map(|dur| self.stall(dur)),
+                _ => None,
+            };
+            // The shard's counters, locked until the batch ends: a
+            // reader sees whole batches only.
+            let mut counts = self.metrics.lock();
+            counts
                 .wait_ns
                 .record((proc_start - wait_start).as_nanos() as u64);
+            if let Some(aborted) = stall {
+                counts.stalls_injected += 1;
+                counts.stalls_aborted += u64::from(aborted);
+            }
             // Batch boundary: adopt any newly published route-table
             // generation. One atomic load when nothing changed; on a
             // swap, re-key the memo slots whose route changed.
@@ -390,25 +335,18 @@ impl ShardWorker {
                 if let Some(table) = memo.as_mut() {
                     rekey(&replaced, self.routes.routes(), table);
                 }
-                self.metrics
-                    .route_swaps_observed
-                    .fetch_add(1, Ordering::Relaxed);
+                counts.route_swaps_observed += 1;
             }
-            self.metrics.batches.fetch_add(1, Ordering::Relaxed);
-            self.metrics.batch_sizes.record(batch.len() as u64);
+            counts.batches += 1;
+            counts.batch_sizes.record(batch.len() as u64);
             if draining_only {
                 // Restart budget exhausted: consume and count, never
                 // process — the ring must still drain so the dispatcher
                 // does not wedge on a Block policy.
-                self.metrics
-                    .panic_lost
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                counts.panic_lost += batch.len() as u64;
                 continue;
             }
             if let Some(f) = faults.as_mut() {
-                if let Some(stall) = f.batch_stall() {
-                    self.stall(stall);
-                }
                 // Per-packet fates are drawn up front, in packet order,
                 // so decisions replay identically whatever the batch
                 // boundaries or panic interleavings turn out to be.
@@ -416,14 +354,21 @@ impl ShardWorker {
                 pfaults.extend((0..batch.len()).map(|_| f.packet_fault()));
             }
             let cursor = Cell::new(0usize);
-            let mut lost_in_batch = 0u64;
+            let lost_before = counts.panic_lost;
             loop {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     while cursor.get() < batch.len() {
                         let i = cursor.get();
                         cursor.set(i + 1);
                         let fault = pfaults.get(i).copied().unwrap_or(PacketFault::None);
-                        self.process(&mut batch[i], &mut scratch, fault, &mut memo, &mut tally);
+                        self.process(
+                            &mut batch[i],
+                            &mut scratch,
+                            fault,
+                            &mut memo,
+                            &mut counts,
+                            &mut latency_gen,
+                        );
                     }
                 }));
                 if outcome.is_ok() {
@@ -433,17 +378,13 @@ impl ShardWorker {
                 // The cursor has already moved past it, so it is not
                 // retried (a deterministic poison packet must not loop
                 // the restart budget away).
-                lost_in_batch += 1;
-                self.metrics.panic_lost.fetch_add(1, Ordering::Relaxed);
-                if restarts >= restart_budget {
-                    let rest = (batch.len() - cursor.get()) as u64;
-                    lost_in_batch += rest;
-                    self.metrics.panic_lost.fetch_add(rest, Ordering::Relaxed);
+                counts.panic_lost += 1;
+                if counts.restarts >= restart_budget {
+                    counts.panic_lost += (batch.len() - cursor.get()) as u64;
                     draining_only = true;
                     break;
                 }
-                restarts += 1;
-                self.metrics.restarts.fetch_add(1, Ordering::Relaxed);
+                counts.restarts += 1;
                 // Restart: a clean scratch frame, header and report
                 // table, discarding whatever the panic left
                 // half-written. The memo table is re-warmed from
@@ -454,36 +395,29 @@ impl ShardWorker {
                     table.invalidate(self.routes.routes().len());
                 }
             }
-            // Outcomes first, then `packets` with Release: a reader that
-            // sees this batch in `packets` (Acquire) sees its outcomes.
-            tally.flush_into(&self.metrics);
-            self.metrics
-                .packets
-                .fetch_add(batch.len() as u64 - lost_in_batch, Ordering::Release);
-            self.metrics
+            counts.packets += batch.len() as u64 - (counts.panic_lost - lost_before);
+            counts
                 .proc_ns
                 .record(proc_start.elapsed().as_nanos() as u64);
         }
         if let (Some(start), Some(end)) = (cpu_start, thread_cpu_ns()) {
-            self.metrics
-                .cpu_ns
-                .store(end.saturating_sub(start), Ordering::Relaxed);
+            self.metrics.lock().cpu_ns = end.saturating_sub(start);
         }
     }
 
     /// An injected ring stall: stop consuming for `dur`, polling the
     /// watchdog's kick flag so a detected stall is cut short — the
-    /// recovery path the watchdog exists to exercise.
-    fn stall(&self, dur: Duration) {
-        self.metrics.stalls_injected.fetch_add(1, Ordering::Relaxed);
+    /// recovery path the watchdog exists to exercise. Returns whether a
+    /// kick cut it short.
+    fn stall(&self, dur: Duration) -> bool {
         let deadline = Instant::now() + dur;
         while Instant::now() < deadline {
             if self.kick.swap(false, Ordering::Relaxed) {
-                self.metrics.stalls_aborted.fetch_add(1, Ordering::Relaxed);
-                return;
+                return true;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
+        false
     }
 
     /// Fresh walk state: a minimum-size Ethernet frame carrying an
@@ -511,17 +445,18 @@ impl ShardWorker {
         scratch: &mut Scratch,
         fault: PacketFault,
         memo: &mut Option<MemoTable>,
-        tally: &mut Tally,
+        counts: &mut ShardSnapshot,
+        latency_gen: &mut u64,
     ) {
         let flip = match fault {
             PacketFault::Panic => {
-                self.metrics.panics_injected.fetch_add(1, Ordering::Relaxed);
+                counts.panics_injected += 1;
                 inject_panic(self.shard);
             }
             PacketFault::BitFlip { at_hop, bit } => Some(Flip {
                 at_hop,
                 bit,
-                landed: &mut tally.bitflips_injected,
+                landed: &mut counts.bitflips_injected,
             }),
             PacketFault::None => None,
         };
@@ -529,16 +464,23 @@ impl ShardWorker {
         // but resolved against the reader's *current* one, which may be
         // smaller. An out-of-range id is a route error, not a panic.
         let Some(route) = self.routes.routes().get_checked(packet.route) else {
-            tally.route_errors += 1;
+            counts.route_errors += 1;
             return;
         };
         let end = match (packet.frame.as_deref_mut(), memo.as_mut()) {
             (None, Some(table)) if flip.is_none() => {
-                self.walk_memoized(route, packet.route.index(), scratch, table, tally)
+                self.walk_memoized(route, packet.route.index(), scratch, table, counts)
             }
             (frame, _) => self.walk(route, frame, scratch, flip),
         };
-        self.settle(&mut scratch.reports, tally, packet, route, end);
+        self.settle(
+            &mut scratch.reports,
+            counts,
+            latency_gen,
+            packet,
+            route,
+            end,
+        );
     }
 
     /// The memo path for a generated packet: the cached verdict on a
@@ -550,16 +492,16 @@ impl ShardWorker {
         idx: usize,
         scratch: &mut Scratch,
         table: &mut MemoTable,
-        tally: &mut Tally,
+        counts: &mut ShardSnapshot,
     ) -> MemoVerdict {
         let shim_end = ETH_HEADER_LEN + self.layout.total_bytes();
         let Some(cached) = table.lookup_verdict(idx) else {
-            tally.memo_misses += 1;
+            counts.memo_misses += 1;
             let end = self.walk(route, None, scratch, None);
             table.record(idx, end, &scratch.frame[ETH_HEADER_LEN..shim_end]);
             return end;
         };
-        tally.memo_hits += 1;
+        counts.memo_hits += 1;
         if !table.should_sample() {
             return cached;
         }
@@ -567,10 +509,10 @@ impl ShardWorker {
         // compare verdict and final shim bit-exactly, count any
         // mismatch, and settle from the walked result so divergence
         // can never leak into the run's accounting.
-        tally.memo_sampled_walks += 1;
+        counts.memo_sampled_walks += 1;
         let end = self.walk(route, None, scratch, None);
         if end != cached || !table.shim_matches(idx, &scratch.frame[ETH_HEADER_LEN..shim_end]) {
-            tally.memo_divergence += 1;
+            counts.memo_divergence += 1;
         }
         end
     }
@@ -601,78 +543,81 @@ impl ShardWorker {
         )
     }
 
-    /// Applies a walk outcome to the shard's tally: hop and outcome
-    /// counters, plus the report decision for detections. The single
+    /// Applies a walk outcome to the shard's counters: hop and outcome
+    /// counters, and for a detection its live-loop count, its
+    /// generation's latency sample and the report decision. The single
     /// accounting sink for every walk flavour — a memoized verdict is
     /// indistinguishable from a walked one here.
     fn settle(
         &self,
         reports: &mut ReportTable,
-        tally: &mut Tally,
+        counts: &mut ShardSnapshot,
+        latency_gen: &mut u64,
         packet: &EnginePacket,
         route: &CompiledRoute,
         end: MemoVerdict,
     ) {
         match end {
             MemoVerdict::Delivered { hops } => {
-                tally.hops += hops as u64;
-                tally.delivered += 1;
+                counts.hops += hops as u64;
+                counts.delivered += 1;
             }
             MemoVerdict::Loop { trigger, hop } => {
-                tally.hops += hop as u64;
-                self.report_loop(reports, tally, packet, route, trigger as usize, hop);
+                counts.hops += hop as u64;
+                counts.loop_events += 1;
+                let gen = self.routes.generation();
+                if gen > self.routes.initial_generation() {
+                    // This loop lives in a route generation published
+                    // while traffic was already flowing — live
+                    // detection, not replay.
+                    counts.loops_after_swap += 1;
+                    // First detection this shard makes against `gen`
+                    // records the detection latency: swap publish →
+                    // detection.
+                    if *latency_gen < gen {
+                        *latency_gen = gen;
+                        if let Some(published) = self.routes.publish_ns(gen) {
+                            let latency = self.routes.now_ns().saturating_sub(published);
+                            counts.detect_latency_ns.record(latency);
+                        }
+                    }
+                }
+                self.report_loop(reports, counts, packet, route, trigger as usize, hop);
             }
             MemoVerdict::TtlDropped { hops } => {
-                tally.hops += hops as u64;
-                tally.ttl_dropped += 1;
+                counts.hops += hops as u64;
+                counts.ttl_dropped += 1;
             }
             MemoVerdict::RouteError { hops } => {
-                tally.hops += hops as u64;
-                tally.route_errors += 1;
+                counts.hops += hops as u64;
+                counts.route_errors += 1;
             }
             MemoVerdict::FrameError { hops } => {
-                tally.hops += hops as u64;
-                tally.frame_errors += 1;
+                counts.hops += hops as u64;
+                counts.frame_errors += 1;
             }
         }
     }
 
-    /// Counts one detection, then, when the report table says so, runs
-    /// §3.5 membership collection and sends the loop event: from the
-    /// trigger switch, keep following the (known, looping) route
-    /// recording switch IDs until the trigger reappears — the recorded
-    /// set is the loop.
+    /// When the report table says so, runs §3.5 membership collection
+    /// for a detection and sends the loop event: from the trigger
+    /// switch, keep following the (known, looping) route recording
+    /// switch IDs until the trigger reappears — the recorded set is the
+    /// loop.
     fn report_loop(
         &self,
         reports: &mut ReportTable,
-        tally: &mut Tally,
+        counts: &mut ShardSnapshot,
         packet: &EnginePacket,
         route: &CompiledRoute,
         trigger_node: usize,
         hop: u32,
     ) {
-        tally.loop_events += 1;
-        let gen = self.routes.generation();
-        if gen > self.routes.initial_generation() {
-            // This loop lives in a route generation published while
-            // traffic was already flowing — live detection, not replay.
-            tally.loops_after_swap += 1;
-            // First detection this shard makes against `gen` records
-            // the detection latency: swap publish → detection.
-            if tally.latency_gen < gen {
-                tally.latency_gen = gen;
-                if let Some(published) = self.routes.publish_ns(gen) {
-                    self.metrics
-                        .detect_latency_ns
-                        .record(self.routes.now_ns().saturating_sub(published));
-                }
-            }
-        }
         if !reports.should_report(packet.flow) {
-            tally.events_suppressed += 1;
+            counts.events_suppressed += 1;
             return;
         }
-        tally.events_sent += 1;
+        counts.events_sent += 1;
         let trigger = self.ids[trigger_node];
         let mut members = vec![trigger];
         let mut complete = false;
@@ -700,19 +645,13 @@ impl ShardWorker {
             complete,
         };
         match self.event_faults.fate() {
-            EventFate::Drop => {
-                self.metrics
-                    .events_dropped_injected
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            EventFate::Drop => counts.events_dropped_injected += 1,
             EventFate::Duplicate => {
-                self.metrics
-                    .events_duplicated_injected
-                    .fetch_add(1, Ordering::Relaxed);
-                self.send_event(event.clone());
-                self.send_event(event);
+                counts.events_duplicated_injected += 1;
+                self.send_event(event.clone(), counts);
+                self.send_event(event, counts);
             }
-            EventFate::Deliver => self.send_event(event),
+            EventFate::Deliver => self.send_event(event, counts),
         }
     }
 
@@ -720,11 +659,9 @@ impl ShardWorker {
     /// channel: a send can only fail post-aggregator-teardown, which
     /// join ordering rules out in a healthy run — count it and keep
     /// draining rather than panic a worker.
-    fn send_event(&self, event: LoopEvent) {
+    fn send_event(&self, event: LoopEvent, counts: &mut ShardSnapshot) {
         if self.events.send(event).is_err() {
-            self.metrics
-                .events_send_failed
-                .fetch_add(1, Ordering::Relaxed);
+            counts.events_send_failed += 1;
         }
     }
 }

@@ -1,5 +1,6 @@
-//! The engine CLI turns arguments it cannot run into a one-line usage
-//! error and exit code 2, never a panic.
+//! The engine CLI, run as built: arguments it cannot run are a one-line
+//! usage error and exit code 2, never a panic, and what it writes keeps
+//! the report's identities and rows.
 
 use std::process::Command;
 
@@ -79,4 +80,72 @@ fn fault_sweep_rows_keep_every_accounting_identity() {
         }
     }
     assert!(!sweep.contains("accounted\": false"), "{sweep}");
+}
+
+/// The array `key` holds in compactly rendered JSON, brackets included.
+fn array<'a>(json: &'a str, key: &str) -> &'a str {
+    let open = json.find(&format!("\"{key}\":[")).expect(key) + key.len() + 3;
+    let mut depth = 0;
+    for (i, c) in json[open..].char_indices() {
+        match c {
+            '[' => depth += 1,
+            ']' => {
+                depth -= 1;
+                if depth == 0 {
+                    return &json[open..=open + i];
+                }
+            }
+            _ => {}
+        }
+    }
+    panic!("unclosed {key} array in {json}");
+}
+
+#[test]
+fn live_snapshots_print_the_report_rows() {
+    let out = format!("{}/live_snapshots.json", env!("CARGO_TARGET_TMPDIR"));
+    let run = Command::new(env!("CARGO_BIN_EXE_unroller-engine"))
+        .args([
+            "--policy",
+            "block",
+            "--packets",
+            "20000",
+            "--snapshot-ms",
+            "1",
+            "--out",
+            &out,
+        ])
+        .output()
+        .expect("spawn unroller-engine");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    let live: Vec<&str> = stderr.lines().filter(|l| l.starts_with('{')).collect();
+    let last = live.last().expect("at least one live snapshot line");
+    for line in &live {
+        for key in ["\"wall_ns\":", "\"rings\":[", "\"shard_metrics\":["] {
+            assert!(line.contains(key), "{key} missing from {line}");
+        }
+    }
+    // The report is the pretty rendering of the same rows: without its
+    // whitespace it reads as a live line does.
+    let report: String = std::fs::read_to_string(&out)
+        .expect("the run wrote its report")
+        .split_whitespace()
+        .collect();
+    let packets = |rows: &str| -> Vec<u64> {
+        rows.split("{\"packets\":")
+            .skip(1)
+            .map(|row| {
+                row[..row.find(',').expect("more keys")]
+                    .parse()
+                    .expect("a count")
+            })
+            .collect()
+    };
+    let shards = packets(array(&report, "shard_metrics"));
+    assert_eq!(shards.iter().sum::<u64>(), 20_000, "{report}");
+    assert_eq!(packets(array(last, "shard_metrics")), shards);
+    for key in ["shard_metrics", "rings"] {
+        assert_eq!(array(last, key), array(&report, key), "{key}");
+    }
 }
