@@ -8,14 +8,14 @@
 //! under the `--faults` plan scaled by each multiplier and writes
 //! detection recall and heal latency per fault level to
 //! `results/engine_faults.json`. Either mode exits 1 when a run breaks
-//! one of the report's accounting identities, naming the identity (and,
-//! in a sweep, the multiplier) after the JSON is written.
+//! one of the report's accounting identities, or when a `--memo` run's
+//! cached verdicts diverged from its sampled walks, naming the broken
+//! check (and, in a sweep, the multiplier) after the JSON is written.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use unroller_control::{Controller, FlakyHealer, HealPolicy, HealReport, SimHealer};
-use unroller_dataplane::{HeaderLayout, PcapWriter};
+use unroller_dataplane::HeaderLayout;
 use unroller_engine::{
     aggregate::deliver, CaptureSource, ChurnPlan, ChurnSource, ControllerSink, Engine,
     EngineConfig, EngineReport, FaultPlan, FlowKey, FullPolicy, HistogramSnapshot, Json,
@@ -319,17 +319,26 @@ fn write_report(path: &str, contents: &[u8]) {
     eprintln!("wrote {path} ({} bytes)", contents.len());
 }
 
-/// Finishes a `--capture` run: takes the pcap writer back from the
-/// (already dropped) capture tee and writes the capture to `path`. A
-/// poisoned writer is recovered: `PcapWriter::push` cannot panic
-/// part-way through a record, so every record it holds is whole.
-fn write_capture(path: &str, writer: Arc<Mutex<PcapWriter>>) {
-    let pcap = Arc::try_unwrap(writer)
-        .expect("capture writer uniquely owned after the run")
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .finish();
-    write_report(path, &pcap);
+/// Runs `source` through `engine`, teed into a pcap capture written to
+/// `capture` when one is given; exits 1 if the run fails.
+fn run_source(
+    engine: &Engine,
+    source: &mut dyn TrafficSource,
+    capture: Option<&str>,
+) -> EngineReport {
+    let run = |source: &mut dyn TrafficSource| {
+        engine.run(source).unwrap_or_else(|e| {
+            eprintln!("unroller-engine: {e}");
+            std::process::exit(1);
+        })
+    };
+    let Some(path) = capture else {
+        return run(source);
+    };
+    let mut tee = CaptureSource::new(source, HeaderLayout::from_params(&engine.config().params));
+    let report = run(&mut tee);
+    write_report(path, &tee.finish());
+    report
 }
 
 /// Derives looping-flow ground truth statically: installs the
@@ -441,20 +450,20 @@ fn accounting_gate(report: &EngineReport, context: &str) {
 /// Prints the memo layer's counters and exits 1 on any sampled
 /// divergence — a cross-check mismatch means the cache served a verdict
 /// the full walk disagrees with, which is always a bug, never a data
-/// condition.
-fn memo_gate(report: &EngineReport) {
+/// condition. `context` ends both lines (a sweep names the multiplier).
+fn memo_gate(report: &EngineReport, context: &str) {
     if !report.memo_enabled {
         return;
     }
     eprintln!(
-        "memo: hits={} misses={} sampled_walks={} divergence={}",
+        "memo: hits={} misses={} sampled_walks={} divergence={}{context}",
         report.memo_hits(),
         report.memo_misses(),
         report.memo_sampled_walks(),
         report.memo_divergence(),
     );
     if report.memo_divergence() > 0 {
-        eprintln!("unroller-engine: memoized verdicts diverged from sampled walks");
+        eprintln!("unroller-engine: memoized verdicts diverged from sampled walks{context}");
         std::process::exit(1);
     }
 }
@@ -672,14 +681,15 @@ fn main() {
         write_report(&out, sweep.render_pretty().as_bytes());
         // Gated after writing, so a broken row can be inspected.
         for (mult, report) in &reports {
-            accounting_gate(report, &format!(" at multiplier {mult}"));
+            let context = format!(" at multiplier {mult}");
+            accounting_gate(report, &context);
+            memo_gate(report, &context);
         }
     } else if let Some(plan) = opts.churn.clone() {
         // Live churn: the control plane fails and heals links while the
         // engine is processing, publishing each event's routes as a new
         // epoch-table generation. Recall is scored against the
         // ever-trapped flow set the live FwdChecker mirror accumulated.
-        let layout = HeaderLayout::from_params(&cfg.params);
         let mut cfg = cfg;
         cfg.events_log = opts
             .events_out
@@ -693,32 +703,7 @@ fn main() {
             std::process::exit(2);
         });
         let mut source = ChurnSource::new(graph.clone(), &plan, opts.flows, opts.packets);
-        let table = source.table();
-        let capture_writer = opts
-            .capture
-            .as_ref()
-            .map(|_| Arc::new(Mutex::new(PcapWriter::default())));
-        let mut capture_errors = 0u64;
-        let report = match &capture_writer {
-            Some(writer) => {
-                let mut tee = CaptureSource::new(source, layout, writer.clone());
-                let errors = tee.error_counter();
-                let report = engine.run(&mut tee).unwrap_or_else(|e| {
-                    eprintln!("unroller-engine: {e}");
-                    std::process::exit(1);
-                });
-                capture_errors = errors.load(std::sync::atomic::Ordering::Relaxed);
-                source = tee.into_inner();
-                report
-            }
-            None => engine.run(&mut source).unwrap_or_else(|e| {
-                eprintln!("unroller-engine: {e}");
-                std::process::exit(1);
-            }),
-        };
-        if let (Some(path), Some(writer)) = (&opts.capture, capture_writer) {
-            write_capture(path, writer);
-        }
+        let report = run_source(&engine, &mut source, opts.capture.as_deref());
         if let Some(path) = &opts.events_out {
             if let Some(err) = &report.event_log_error {
                 eprintln!("unroller-engine: event log {path} truncated: {err}");
@@ -769,9 +754,6 @@ fn main() {
         churn_section.set("recall", Json::Float(recall));
         churn_section.set("loops_after_swap", Json::UInt(loops_after_swap));
         churn_section.set("route_swaps_observed", Json::UInt(swaps_observed));
-        churn_section.set("generations_retained", Json::UInt(table.retained() as u64));
-        churn_section.set("generations_reclaimed", Json::UInt(table.reclaimed()));
-        churn_section.set("capture_errors", Json::UInt(capture_errors));
         churn_section.set("detect_latency_ns", latency.to_json());
         churn_section.set("dv_round_ns", source.dv_round_ns().to_json());
         churn_section.set("update_publish_ns", source.update_publish_ns().to_json());
@@ -785,13 +767,12 @@ fn main() {
             write_report(out, rendered.as_bytes());
         }
         accounting_gate(&report, "");
-        memo_gate(&report);
+        memo_gate(&report, "");
         if opts.expect_loop && (!report.loop_detected() || loops_after_swap == 0) {
             eprintln!("unroller-engine: expected a loop detection on a post-swap generation");
             std::process::exit(1);
         }
     } else {
-        let layout = HeaderLayout::from_params(&cfg.params);
         // Stream the event log during the run (flushed per record) so
         // an aborted run still leaves a parseable log behind.
         let mut cfg = cfg;
@@ -811,7 +792,7 @@ fn main() {
         // loop-injected) routing state, then processed in their own
         // recorded bytes.
         let mut oracle: Option<(Json, Vec<FlowKey>, bool)> = None;
-        let (mut sim, source, looping): (_, Box<dyn TrafficSource>, Vec<FlowKey>) =
+        let (mut sim, mut source, looping): (_, Box<dyn TrafficSource>, Vec<FlowKey>) =
             if let Some(path) = &opts.replay {
                 let mut sim = Simulator::new(
                     graph.clone(),
@@ -861,22 +842,7 @@ fn main() {
                 };
                 (sim, Box::new(source), looping)
             };
-        let capture_writer = opts
-            .capture
-            .as_ref()
-            .map(|_| Arc::new(Mutex::new(PcapWriter::default())));
-        let mut source: Box<dyn TrafficSource> = match &capture_writer {
-            Some(w) => Box::new(CaptureSource::new(source, layout, w.clone())),
-            None => source,
-        };
-        let report = engine.run(&mut *source).unwrap_or_else(|e| {
-            eprintln!("unroller-engine: {e}");
-            std::process::exit(1);
-        });
-        if let (Some(path), Some(writer)) = (&opts.capture, capture_writer) {
-            drop(source); // release the tee's clone of the writer
-            write_capture(path, writer);
-        }
+        let report = run_source(&engine, &mut *source, opts.capture.as_deref());
         if let Some(path) = &opts.events_out {
             if let Some(err) = &report.event_log_error {
                 eprintln!("unroller-engine: event log {path} truncated: {err}");
@@ -908,7 +874,7 @@ fn main() {
             write_report(out, rendered.as_bytes());
         }
         accounting_gate(&report, "");
-        memo_gate(&report);
+        memo_gate(&report, "");
         if let Some((_, _, agrees)) = &oracle {
             if !agrees {
                 eprintln!("unroller-engine: oracle ground truth disagrees with recorded routes");

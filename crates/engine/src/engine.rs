@@ -155,15 +155,6 @@ pub enum EngineError {
     /// detection claims are void, so this surfaces as an error instead
     /// of a report.
     AggregatorPanicked(String),
-    /// The watchdog thread panicked; carries the panic payload's
-    /// message. Unlike an aggregator loss this does **not** void the
-    /// run — detection and accounting are untouched — so
-    /// [`Engine::run`] degrades to a default watchdog summary and
-    /// reports the panic in
-    /// [`EngineReport::watchdog_panic`]; this typed error is what
-    /// [`EngineReport::watchdog_error`] hands callers that want to
-    /// treat a dead watchdog as fatal.
-    WatchdogPanicked(String),
 }
 
 impl fmt::Display for EngineError {
@@ -178,9 +169,6 @@ impl fmt::Display for EngineError {
             EngineError::EventLogIo(e) => write!(f, "cannot open event log: {e}"),
             EngineError::AggregatorPanicked(msg) => {
                 write!(f, "loop-event aggregator panicked: {msg}")
-            }
-            EngineError::WatchdogPanicked(msg) => {
-                write!(f, "watchdog panicked: {msg}")
             }
         }
     }
@@ -310,15 +298,6 @@ impl EngineReport {
     /// value means the memoized fast path disagreed with a full walk.
     pub fn memo_divergence(&self) -> u64 {
         self.shard_snapshots.iter().map(|s| s.memo_divergence).sum()
-    }
-
-    /// The typed error for a watchdog panic, when one occurred — for
-    /// callers that treat losing stall supervision as fatal even though
-    /// the run's detection claims still hold.
-    pub fn watchdog_error(&self) -> Option<EngineError> {
-        self.watchdog_panic
-            .as_ref()
-            .map(|msg| EngineError::WatchdogPanicked(msg.clone()))
     }
 
     /// Every offered packet is accounted for — enqueued, dropped at
@@ -721,12 +700,6 @@ impl Engine {
     }
 }
 
-/// Convenience: RSS mapping for an arbitrary flow (used by tests and
-/// the proptest suite to cross-check the dispatcher).
-pub fn shard_of(flow: &FlowKey, shards: usize) -> usize {
-    flow.shard(shards)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1058,14 +1031,10 @@ mod tests {
             WatchdogReport::default(),
             "default summary"
         );
-        let msg = report
-            .watchdog_panic
-            .clone()
-            .expect("the panic is surfaced, not swallowed");
-        match report.watchdog_error() {
-            Some(EngineError::WatchdogPanicked(m)) => assert_eq!(m, msg),
-            other => panic!("expected WatchdogPanicked, got {other:?}"),
-        }
+        assert!(
+            report.watchdog_panic.is_some(),
+            "the panic is surfaced, not swallowed"
+        );
         assert!(report.to_json().render().contains("panicked"));
     }
 

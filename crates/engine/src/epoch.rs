@@ -16,15 +16,13 @@
 //!   installs a new `Arc<RouteSet>` under the table mutex, then makes
 //!   it visible with a single `Release` store of the bumped generation.
 //!   Workers observe the swap at their next batch boundary.
-//! - **Reclamation is epoch-based.** Every reader advertises the
-//!   generation it is pinned to in a cache-padded per-reader slot
-//!   (written only when the reader moves generations, so slots never
-//!   ping-pong between cores). A retired generation `g` is freed once
-//!   `g < min(pinned)` over all live readers — i.e. once every worker
-//!   has quiesced past it. `Arc` already guarantees memory safety; the
-//!   explicit retired list is what makes retention *bounded and
-//!   observable* ([`EpochRouteTable::retained`]), which the churn tests
-//!   assert under continuous update storms.
+//! - **Ownership frees old generations.** Each reader holds its own
+//!   generation's set; the table holds the current set and the one its
+//!   last publish replaced. A set is freed by whoever drops its last
+//!   `Arc`, so at most readers + 2 sets are alive however far a reader
+//!   lags. Keeping the replaced set one publish longer means that, once
+//!   the readers have moved on, the publishing thread (which allocated
+//!   the set) is the one that frees it, not a worker mid-batch.
 //!
 //! Generations are numbered from 1 (the seed set). The table also
 //! timestamps every publish ([`EpochRouteTable::publish_ns`], on the
@@ -34,21 +32,10 @@
 //!
 //! [`RouteSet`]: crate::route::RouteSet
 
-use crate::ring::CachePadded;
 use crate::route::RouteSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
-
-/// Slot value meaning "this reader is gone and pins nothing".
-const UNPINNED: u64 = u64::MAX;
-
-/// One reader's advertised pinned generation, on its own cache line so
-/// refresh stores never false-share with neighbouring readers.
-#[derive(Debug)]
-struct ReaderSlot {
-    pinned: CachePadded<AtomicU64>,
-}
 
 #[derive(Debug)]
 struct TableState {
@@ -57,16 +44,11 @@ struct TableState {
     gen: u64,
     /// The current generation's route set.
     current: Arc<RouteSet>,
-    /// Retired generations not yet quiesced past by every reader.
-    retired: Vec<(u64, Arc<RouteSet>)>,
-    /// Live reader slots (a slot is dropped from the registry once its
-    /// reader is gone).
-    readers: Vec<Arc<ReaderSlot>>,
+    /// The set the last publish replaced, dropped by the next publish.
+    previous: Option<Arc<RouteSet>>,
     /// `publish_ns[g - 1]` = monotonic ns at which generation `g` was
     /// published.
     publish_ns: Vec<u64>,
-    /// Total generations reclaimed so far.
-    reclaimed: u64,
 }
 
 /// A hot-swappable route table: immutable [`RouteSet`] generations
@@ -87,10 +69,8 @@ impl EpochRouteTable {
             state: Mutex::new(TableState {
                 gen: 1,
                 current: initial,
-                retired: Vec::new(),
-                readers: Vec::new(),
+                previous: None,
                 publish_ns: vec![0],
-                reclaimed: 0,
             }),
             epoch0: Instant::now(),
         }
@@ -125,88 +105,37 @@ impl EpochRouteTable {
         self.lock().publish_ns.get(gen as usize - 1).copied()
     }
 
-    /// A snapshot of the current route set (without registering a
-    /// reader). One-shot consumers only; workers should hold a
-    /// [`RouteReader`].
+    /// A snapshot of the current route set. One-shot consumers only;
+    /// workers should hold a [`RouteReader`].
     pub fn current(&self) -> Arc<RouteSet> {
         Arc::clone(&self.lock().current)
     }
 
     /// Publishes `routes` as the next generation and returns its
-    /// number. The previous generation is retired and reclaimed once
-    /// every reader has quiesced past it.
+    /// number. The replaced set is kept until the next publish; the
+    /// one kept before it is dropped here, after unlocking, and freed
+    /// if no reader still holds it.
     pub fn publish(&self, routes: Arc<RouteSet>) -> u64 {
         let mut st = self.lock();
-        let old = std::mem::replace(&mut st.current, routes);
-        let old_gen = st.gen;
-        st.retired.push((old_gen, old));
+        let replaced = std::mem::replace(&mut st.current, routes);
+        let stale = st.previous.replace(replaced);
         st.gen += 1;
         let gen = st.gen;
         st.publish_ns.push(self.now_ns());
-        // Make the new generation visible to readers *before* reclaim,
-        // so a reader refreshing concurrently can pin it immediately.
         self.gen.store(gen, Ordering::Release);
-        Self::reclaim_locked(&mut st);
+        drop(st);
+        drop(stale);
         gen
     }
 
-    /// Runs a reclamation pass without publishing — used after readers
-    /// drop or advance to release retired generations promptly.
-    pub fn try_reclaim(&self) {
-        Self::reclaim_locked(&mut self.lock());
-    }
-
-    /// Retired generations still retained (not yet quiesced past).
-    pub fn retained(&self) -> usize {
-        self.lock().retired.len()
-    }
-
-    /// Total generations reclaimed so far.
-    pub fn reclaimed(&self) -> u64 {
-        self.lock().reclaimed
-    }
-
-    fn reclaim_locked(st: &mut TableState) {
-        // Slots are written under this mutex on registration/refresh;
-        // the only unlocked write is the UNPINNED store in
-        // `RouteReader::drop`, and racing with it is benign — we either
-        // keep the generation one pass longer or free it now that the
-        // reader (and its own `Arc`) is gone.
-        st.readers.retain(|slot| Arc::strong_count(slot) > 1);
-        let min_pinned = st
-            .readers
-            .iter()
-            .map(|slot| slot.pinned.0.load(Ordering::Acquire))
-            .filter(|&p| p != UNPINNED)
-            .min();
-        let before = st.retired.len();
-        match min_pinned {
-            // No pinned readers: nothing can still observe any retired
-            // generation.
-            None => st.retired.clear(),
-            // A retired generation survives only while some reader is
-            // still pinned at or before it.
-            Some(min) => st.retired.retain(|&(gen, _)| gen >= min),
-        }
-        st.reclaimed += (before - st.retired.len()) as u64;
-    }
-
-    /// Registers a new reader pinned to the current generation.
+    /// A new reader on the current generation.
     pub fn reader(self: &Arc<Self>) -> RouteReader {
-        let mut st = self.lock();
-        let slot = Arc::new(ReaderSlot {
-            pinned: CachePadded(AtomicU64::new(st.gen)),
-        });
-        st.readers.push(Arc::clone(&slot));
-        let gen = st.gen;
-        let current = Arc::clone(&st.current);
-        drop(st);
+        let st = self.lock();
         RouteReader {
             table: Arc::clone(self),
-            slot,
-            initial_gen: gen,
-            gen,
-            current,
+            initial_gen: st.gen,
+            gen: st.gen,
+            current: Arc::clone(&st.current),
         }
     }
 }
@@ -214,41 +143,40 @@ impl EpochRouteTable {
 /// A shard worker's lock-free handle onto an [`EpochRouteTable`].
 ///
 /// Call [`refresh`](Self::refresh) once per batch: when nothing was
-/// published it is a single atomic load; when the table moved it pins
-/// the new generation and hands back the set it replaced, so the
+/// published it is a single atomic load; when the table moved it takes
+/// the new generation's set and hands back the one it replaced, so the
 /// caller can re-key its per-slot caches (the worker's memo) for
 /// exactly the slots whose route changed.
 #[derive(Debug)]
 pub struct RouteReader {
     table: Arc<EpochRouteTable>,
-    slot: Arc<ReaderSlot>,
     initial_gen: u64,
     gen: u64,
     current: Arc<RouteSet>,
 }
 
 impl RouteReader {
-    /// The generation this reader is pinned to.
+    /// The generation this reader is on.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.gen
     }
 
-    /// The generation the reader was registered at — anything above it
+    /// The generation the reader was created at — anything above it
     /// was published *after* this reader (worker) started.
     #[inline]
     pub fn initial_generation(&self) -> u64 {
         self.initial_gen
     }
 
-    /// The pinned generation's route set.
+    /// The route set of the reader's generation.
     #[inline]
     pub fn routes(&self) -> &RouteSet {
         &self.current
     }
 
     /// Advances to the published generation if it moved. Returns the
-    /// set it was pinned to before on a swap (the new generation's
+    /// set the reader held before on a swap (the new generation's
     /// number is [`generation`](Self::generation)), `None` when already
     /// current. Several publishes may have landed since the last
     /// refresh, so the replaced set can be older than the new one's
@@ -262,7 +190,6 @@ impl RouteReader {
         let st = self.table.lock();
         let replaced = std::mem::replace(&mut self.current, Arc::clone(&st.current));
         self.gen = st.gen;
-        self.slot.pinned.0.store(self.gen, Ordering::Release);
         Some(replaced)
     }
 
@@ -276,32 +203,34 @@ impl RouteReader {
     pub fn now_ns(&self) -> u64 {
         self.table.now_ns()
     }
-
-    /// The underlying table (for tests and reporting).
-    pub fn table(&self) -> &Arc<EpochRouteTable> {
-        &self.table
-    }
-}
-
-impl Drop for RouteReader {
-    fn drop(&mut self) {
-        self.slot.pinned.0.store(UNPINNED, Ordering::Release);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::PathSpec;
+    use std::sync::Weak;
 
     /// A route set whose length encodes the generation it was built
     /// for, so tests can verify a reader sees exactly the set matching
-    /// its pinned generation.
+    /// its generation.
     fn tagged_set(generation: usize) -> Arc<RouteSet> {
         let specs: Vec<PathSpec> = (0..generation)
             .map(|i| PathSpec::linear(vec![i, i + 1]))
             .collect();
         RouteSet::from_specs(&specs)
+    }
+
+    /// Publishes a fresh tagged set and returns a weak handle on it.
+    fn publish_tagged(table: &EpochRouteTable, generation: usize) -> Weak<RouteSet> {
+        let set = tagged_set(generation);
+        let weak = Arc::downgrade(&set);
+        table.publish(set);
+        weak
+    }
+
+    fn alive(set: &Weak<RouteSet>) -> bool {
+        set.strong_count() > 0
     }
 
     #[test]
@@ -313,8 +242,7 @@ mod tests {
 
         assert_eq!(table.publish(tagged_set(2)), 2);
         assert_eq!(table.generation(), 2);
-        // The reader still sees its pinned generation until it
-        // refreshes.
+        // The reader still sees its own generation until it refreshes.
         assert_eq!(reader.routes().len(), 1);
         let replaced = reader.refresh().expect("a swap was pending");
         assert_eq!(replaced.len(), 1, "refresh hands back the replaced set");
@@ -328,53 +256,53 @@ mod tests {
         let table = Arc::new(EpochRouteTable::new(tagged_set(1)));
         let mut fast = table.reader();
         let mut slow = table.reader();
-        let gen1 = table.current();
-        let weak1 = Arc::downgrade(&gen1);
-        drop(gen1);
+        let gen1 = Arc::downgrade(&table.current());
 
-        table.publish(tagged_set(2));
+        let gen2 = publish_tagged(&table, 2);
         fast.refresh();
-        table.try_reclaim();
-        // `slow` is still pinned at generation 1: it must stay
-        // observable.
-        assert!(weak1.upgrade().is_some(), "gen 1 reclaimed under a reader");
+        publish_tagged(&table, 3);
+        // Only `slow`, still on generation 1, holds it now.
+        assert!(alive(&gen1), "gen 1 freed under a reader");
         assert_eq!(slow.routes().len(), 1);
-        assert_eq!(table.retained(), 1);
-
         slow.refresh();
-        table.try_reclaim();
-        assert!(weak1.upgrade().is_none(), "gen 1 leaked after quiescence");
-        assert_eq!(table.retained(), 0);
-        assert_eq!(table.reclaimed(), 1);
+        assert!(!alive(&gen1), "gen 1 leaked after its last reader moved on");
+
+        // Generation 2 has no reader left: the table's `previous` alone
+        // keeps it, until the next publish.
+        fast.refresh();
+        assert!(alive(&gen2), "the table keeps the replaced set");
+        publish_tagged(&table, 4);
+        assert!(!alive(&gen2), "gen 2 leaked after the next publish");
     }
 
     #[test]
     fn dropping_a_reader_unpins_it() {
         let table = Arc::new(EpochRouteTable::new(tagged_set(1)));
-        let reader = table.reader();
-        table.publish(tagged_set(2));
-        assert_eq!(table.retained(), 1);
-        drop(reader);
-        table.try_reclaim();
-        assert_eq!(table.retained(), 0);
+        let stuck = table.reader();
+        let mut sets = vec![Arc::downgrade(&table.current())];
+        for g in 2..=10 {
+            sets.push(publish_tagged(&table, g));
+        }
+        // Generation 1 (the stuck reader's), 9 (the table's previous)
+        // and 10 (current) are alive; nothing between them is.
+        let live: Vec<usize> = (1..=10).filter(|&g| alive(&sets[g - 1])).collect();
+        assert_eq!(live, vec![1, 9, 10]);
+        drop(stuck);
+        assert!(!alive(&sets[0]), "a dropped reader frees its set");
     }
 
     #[test]
     fn retention_is_bounded_under_continuous_churn() {
         let table = Arc::new(EpochRouteTable::new(tagged_set(1)));
         let mut reader = table.reader();
-        for g in 2..200u64 {
-            table.publish(tagged_set(g as usize));
+        let mut sets = vec![Arc::downgrade(&table.current())];
+        for g in 2..200usize {
+            sets.push(publish_tagged(&table, g));
             reader.refresh();
-            // The reader always advances, so at most the generation
-            // retired by the *next* publish is pending.
-            assert!(
-                table.retained() <= 1,
-                "unbounded retention at gen {g}: {}",
-                table.retained()
-            );
+            // Only the current set and the one its publish replaced.
+            let live = sets.iter().filter(|s| alive(s)).count();
+            assert_eq!(live, 2, "unbounded retention at gen {g}");
         }
-        assert!(table.reclaimed() >= 197);
     }
 
     #[test]
@@ -407,7 +335,7 @@ mod tests {
                             swaps += 1;
                         }
                         // The invariant: the set a reader holds always
-                        // matches the generation it is pinned to.
+                        // matches the generation it is on.
                         assert_eq!(reader.routes().len() as u64, reader.generation());
                         std::hint::spin_loop();
                     }
@@ -415,15 +343,14 @@ mod tests {
                 })
             })
             .collect();
-        for g in 2..=300u64 {
-            table.publish(tagged_set(g as usize));
-        }
+        let sets: Vec<_> = (2..=300).map(|g| publish_tagged(&table, g)).collect();
         stop.store(true, Ordering::Relaxed);
         let total: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
         // Readers were live the whole time, so at least one swap was
         // observed somewhere.
         assert!(total >= 1);
-        table.try_reclaim();
-        assert_eq!(table.retained(), 0);
+        // With every reader gone, only the table's two sets remain.
+        let live: Vec<usize> = (2..=300).filter(|&g| alive(&sets[g - 2])).collect();
+        assert_eq!(live, vec![299, 300]);
     }
 }

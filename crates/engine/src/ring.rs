@@ -32,12 +32,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Pads (and aligns) its contents to a 64-byte cache line so two
-/// frequently-written atomics cannot false-share one line.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct CachePadded<T>(pub T);
-
 /// Spin iterations before a blocked side parks on the condvar.
 const SPINS: u32 = 64;
 /// Park timeout: a parked side re-checks the queue at least this often.
@@ -638,11 +632,5 @@ mod tests {
         while c.recv_batch(&mut out, 4) {}
         assert_eq!(out, (0..=10).collect::<Vec<u32>>());
         assert_eq!(counters.snapshot().enqueued, 11);
-    }
-
-    #[test]
-    fn indices_live_on_separate_cache_lines() {
-        assert_eq!(std::mem::align_of::<CachePadded<AtomicUsize>>(), 64);
-        assert!(std::mem::size_of::<CachePadded<AtomicUsize>>() >= 64);
     }
 }

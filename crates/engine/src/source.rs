@@ -7,8 +7,9 @@
 //! routing loops — and replays the routed paths as packet streams, a
 //! pcap replay source ([`PcapReplaySource`]) that feeds recorded wire
 //! frames straight into the workers' zero-copy path, and a capture tee
-//! ([`CaptureSource`]) that records any other source's traffic as a
-//! pcap file replayable later.
+//! ([`CaptureSource`]) that borrows any other source, records its
+//! traffic into a pcap writer it owns, and hands the capture back when
+//! the run is over, for replay later.
 //!
 //! Every source *interns* its paths up front: distinct [`PathSpec`]s
 //! are compiled once into a shared [`RouteSet`], and the packets a
@@ -24,8 +25,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use unroller_core::InPacketDetector;
 use unroller_dataplane::parser::build_frame;
 use unroller_dataplane::{
@@ -434,20 +434,6 @@ impl PcapReplaySource {
     }
 }
 
-impl TrafficSource for Box<dyn TrafficSource> {
-    fn fill(&mut self, max: usize, out: &mut Vec<EnginePacket>) -> usize {
-        (**self).fill(max, out)
-    }
-
-    fn routes(&self) -> Arc<RouteSet> {
-        (**self).routes()
-    }
-
-    fn route_table(&self) -> Option<Arc<EpochRouteTable>> {
-        (**self).route_table()
-    }
-}
-
 impl TrafficSource for PcapReplaySource {
     fn fill(&mut self, max: usize, out: &mut Vec<EnginePacket>) -> usize {
         let mut produced = 0;
@@ -472,65 +458,36 @@ impl TrafficSource for PcapReplaySource {
 /// what the capture holds. Frames are synthesized at the source host:
 /// MACs from the flow's endpoint addresses, an all-zero Unroller shim,
 /// and timestamps spaced 1 µs apart in emission order.
-pub struct CaptureSource<S> {
-    inner: S,
-    writer: Arc<Mutex<PcapWriter>>,
+///
+/// The tee borrows the source it records and owns its writer:
+/// [`finish`](Self::finish) hands the capture back once the run is
+/// over, and the caller still has its source for post-run queries.
+pub struct CaptureSource<'a> {
+    inner: &'a mut dyn TrafficSource,
+    writer: PcapWriter,
     layout: HeaderLayout,
-    emitted: u64,
-    capture_errors: Arc<AtomicU64>,
 }
 
-impl<S: TrafficSource> CaptureSource<S> {
-    /// Wraps `inner`, recording into `writer` (shared so the capture
-    /// can be written out after the engine consumes the source).
-    pub fn new(inner: S, layout: HeaderLayout, writer: Arc<Mutex<PcapWriter>>) -> Self {
+impl<'a> CaptureSource<'a> {
+    /// Tees `inner` into a new in-memory capture.
+    pub fn new(inner: &'a mut dyn TrafficSource, layout: HeaderLayout) -> Self {
         CaptureSource {
             inner,
-            writer,
+            writer: PcapWriter::default(),
             layout,
-            emitted: 0,
-            capture_errors: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// Packets that passed through uncaptured because the writer mutex
-    /// was poisoned. The handle is shared so a caller can keep reading
-    /// the count after the engine has consumed the source.
-    pub fn error_counter(&self) -> Arc<AtomicU64> {
-        self.capture_errors.clone()
-    }
-
-    /// Packets this source served without recording them (see
-    /// [`CaptureSource::error_counter`]).
-    pub fn capture_errors(&self) -> u64 {
-        self.capture_errors.load(Ordering::Relaxed)
-    }
-
-    /// Unwraps the tee, handing the inner source back (its clone of the
-    /// capture writer is dropped) — for post-run access to source state
-    /// the [`TrafficSource`] trait doesn't expose.
-    pub fn into_inner(self) -> S {
-        self.inner
+    /// The capture of every packet served so far, as pcap file bytes.
+    pub fn finish(self) -> Vec<u8> {
+        self.writer.finish()
     }
 }
 
-impl<S: TrafficSource> TrafficSource for CaptureSource<S> {
+impl TrafficSource for CaptureSource<'_> {
     fn fill(&mut self, max: usize, out: &mut Vec<EnginePacket>) -> usize {
         let start = out.len();
         let produced = self.inner.fill(max, out);
-        // A panic while another handle held the writer may have left a
-        // half-written record behind, so a poisoned mutex means the
-        // capture can no longer be trusted. Traffic must keep flowing
-        // regardless: count the unrecorded packets and serve them with
-        // no frame attached instead of taking the engine down.
-        let mut writer = match self.writer.lock() {
-            Ok(writer) => writer,
-            Err(_) => {
-                self.capture_errors
-                    .fetch_add((out.len() - start) as u64, Ordering::Relaxed);
-                return produced;
-            }
-        };
         for p in &mut out[start..] {
             let src = p.flow.src_ip & 0x00ff_ffff;
             let dst = p.flow.dst_ip & 0x00ff_ffff;
@@ -540,8 +497,8 @@ impl<S: TrafficSource> TrafficSource for CaptureSource<S> {
                 &WireHeader::initial(&self.layout),
                 b"unroller-capture",
             );
-            writer.push(self.emitted * 1_000, &frame);
-            self.emitted += 1;
+            let emitted = u64::from(self.writer.packet_count());
+            self.writer.push(emitted * 1_000, &frame);
             p.frame = Some(frame.into_boxed_slice());
         }
         produced
@@ -682,19 +639,13 @@ mod tests {
         let params = unroller_core::UnrollerParams::default();
         let layout = HeaderLayout::from_params(&params);
         let mut sim1 = sim();
-        let inner = ReplaySource::from_sim(&mut sim1, 3, 40, None, 5);
-        let writer = Arc::new(Mutex::new(PcapWriter::default()));
-        let mut captured = CaptureSource::new(inner, layout, writer.clone());
+        let mut inner = ReplaySource::from_sim(&mut sim1, 3, 40, None, 5);
+        let mut captured = CaptureSource::new(&mut inner, layout);
         let mut original = Vec::new();
         while captured.fill(16, &mut original) > 0 {}
         assert_eq!(original.len(), 40);
         assert!(original.iter().all(|p| p.frame.is_some()));
-        drop(captured);
-        let pcap = Arc::try_unwrap(writer)
-            .expect("sole owner after the source is drained")
-            .into_inner()
-            .unwrap()
-            .finish();
+        let pcap = captured.finish();
 
         let sim2 = sim();
         let reader = PcapReader::new(pcap).unwrap();
@@ -723,45 +674,6 @@ mod tests {
         for seqs in per_flow.values() {
             assert_eq!(seqs, &(0..seqs.len() as u64).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn poisoned_capture_writer_degrades_instead_of_panicking() {
-        // Poison the shared writer from a panicking thread, then keep
-        // filling: traffic flows on with no frames attached and every
-        // unrecorded packet lands in the capture_errors counter.
-        let params = unroller_core::UnrollerParams::default();
-        let layout = HeaderLayout::from_params(&params);
-        let inner = SyntheticSource::new(16, 4, 40, 0, 0, 9);
-        let writer = Arc::new(Mutex::new(PcapWriter::default()));
-        let mut captured = CaptureSource::new(inner, layout, writer.clone());
-        let errors = captured.error_counter();
-
-        let mut out = Vec::new();
-        assert_eq!(captured.fill(10, &mut out), 10);
-        assert!(out.iter().all(|p| p.frame.is_some()));
-        assert_eq!(captured.capture_errors(), 0);
-
-        let poisoner = writer.clone();
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap();
-            panic!("capture writer dies mid-record");
-        })
-        .join();
-        assert!(writer.lock().is_err(), "mutex must now be poisoned");
-
-        out.clear();
-        assert_eq!(captured.fill(10, &mut out), 10, "traffic keeps flowing");
-        assert!(
-            out.iter().all(|p| p.frame.is_none()),
-            "no frames once the capture is untrusted"
-        );
-        assert_eq!(captured.capture_errors(), 10);
-        assert_eq!(errors.load(Ordering::Relaxed), 10, "shared handle agrees");
-
-        out.clear();
-        while captured.fill(16, &mut out) > 0 {}
-        assert_eq!(captured.capture_errors(), 30, "every later burst counted");
     }
 
     #[test]

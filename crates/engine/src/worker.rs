@@ -252,7 +252,7 @@ pub struct ShardWorker {
     pub ids: Arc<[SwitchId]>,
     /// This shard's lock-free handle onto the engine's epoch route
     /// table: every packet's `RouteId` resolves against the generation
-    /// the reader is pinned to, re-polled once per batch.
+    /// the reader is on, re-polled once per batch.
     pub routes: RouteReader,
     /// The shim layout shared by all pipelines.
     pub layout: HeaderLayout,

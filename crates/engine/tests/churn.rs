@@ -1,10 +1,10 @@
-//! Live-churn integration tests: epoch reclamation under arbitrary
-//! reader/writer interleavings, and the engine processing an update
-//! storm — with and without worker panics — scored against the live
-//! forwarding-state oracle.
+//! Live-churn integration tests: route-generation lifetimes under
+//! arbitrary reader/writer interleavings, and the engine processing an
+//! update storm — with and without worker panics — scored against the
+//! live forwarding-state oracle.
 
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use unroller_engine::{
     ChurnPlan, ChurnSource, Engine, EngineConfig, EpochRouteTable, FaultPlan, FullPolicy, PathSpec,
     RouteReader, RouteSet,
@@ -29,46 +29,45 @@ enum Op {
     /// Reader in slot `i` (mod capacity) catches up to the current
     /// generation.
     Refresh(usize),
-    /// Reader in slot `i` quiesces for good (dropped).
+    /// Reader in slot `i` is dropped.
     Drop(usize),
     /// A new reader registers in the first free slot.
     Register,
-    /// Explicit reclamation pass (publish also reclaims).
-    Reclaim,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Weighted choice by hand (the vendored proptest has no
     // `prop_oneof`): publishes and refreshes dominate, drops and
-    // reclaims salt the sequence.
-    (0u8..10, 0usize..4).prop_map(|(kind, i)| match kind {
+    // registrations salt the sequence.
+    (0u8..9, 0usize..4).prop_map(|(kind, i)| match kind {
         0..=2 => Op::Publish,
         3..=5 => Op::Refresh(i),
         6 => Op::Drop(i),
-        7 | 8 => Op::Register,
-        _ => Op::Reclaim,
+        _ => Op::Register,
     })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Model-checked reclamation: under any interleaving of publishes,
-    /// refreshes, reader registration, and reader drops —
+    /// Model-checked generation lifetimes: under any interleaving of
+    /// publishes, refreshes, reader registration, and reader drops —
     ///
-    /// 1. every live reader always holds the route set its pinned
-    ///    generation claims (no reader ever observes a torn or
-    ///    reclaimed generation),
+    /// 1. every live reader always holds the route set its generation
+    ///    claims (no reader ever observes a torn or freed generation),
     /// 2. a reader's generation never runs ahead of the published one,
-    /// 3. retention is bounded by the oldest pinned generation: once
-    ///    every reader catches up (or quiesces), everything older than
-    ///    the current generation is freed.
+    /// 3. generation `g`'s set is alive exactly when `g` is current,
+    ///    `g` is the one the last publish replaced, or a live reader is
+    ///    on `g`: ownership frees every other set at once, however far
+    ///    a reader lags.
     #[test]
     fn reclamation_is_safe_and_bounded_under_any_interleaving(
         ops in prop::collection::vec(op_strategy(), 1..80),
     ) {
         let table = Arc::new(EpochRouteTable::new(tagged_set(1)));
         let mut published: u64 = 1;
+        // `sets[g - 1]` watches generation `g`'s set.
+        let mut sets: Vec<Weak<RouteSet>> = vec![Arc::downgrade(&table.current())];
         let mut slots: Vec<Option<RouteReader>> = vec![None, None, None, None];
         slots[0] = Some(table.reader());
 
@@ -76,7 +75,9 @@ proptest! {
             match op {
                 Op::Publish => {
                     published += 1;
-                    let generation = table.publish(tagged_set(published));
+                    let set = tagged_set(published);
+                    sets.push(Arc::downgrade(&set));
+                    let generation = table.publish(set);
                     prop_assert_eq!(generation, published);
                 }
                 Op::Refresh(i) => {
@@ -98,12 +99,8 @@ proptest! {
                         *free = Some(table.reader());
                     }
                 }
-                Op::Reclaim => {
-                    table.try_reclaim();
-                }
             }
             // Invariants 1 and 2, after every single operation.
-            let mut oldest_pinned = published;
             for reader in slots.iter().flatten() {
                 let generation = reader.generation();
                 prop_assert!(generation <= published);
@@ -113,27 +110,24 @@ proptest! {
                     "reader holds the route set its generation claims"
                 );
                 prop_assert!(
-                    reader.table().publish_ns(generation).is_some(),
-                    "a pinned generation keeps its publish timestamp"
+                    reader.publish_ns(generation).is_some(),
+                    "a reader's generation keeps its publish timestamp"
                 );
-                oldest_pinned = oldest_pinned.min(generation);
             }
-            // Invariant 3: nothing older than the oldest pin survives a
-            // reclamation pass, so retention is bounded by reader lag.
-            table.try_reclaim();
-            prop_assert!(
-                (table.retained() as u64) <= published.saturating_sub(oldest_pinned),
-                "retained {} generations with oldest pin {} of {}",
-                table.retained(),
-                oldest_pinned,
-                published
-            );
+            // Invariant 3, for every generation ever published.
+            for (g, set) in (1..=published).zip(&sets) {
+                let held = g == published
+                    || g + 1 == published
+                    || slots.iter().flatten().any(|r| r.generation() == g);
+                prop_assert_eq!(
+                    set.strong_count() > 0,
+                    held,
+                    "generation {} of {}: alive iff current, previous or read",
+                    g,
+                    published
+                );
+            }
         }
-
-        // Once every reader quiesces, every retired generation frees.
-        slots.iter_mut().for_each(|s| *s = None);
-        table.try_reclaim();
-        prop_assert_eq!(table.retained(), 0);
     }
 }
 
@@ -150,7 +144,6 @@ fn churn_run_detects_every_trapped_flow() {
     for rate in [100, 400, 1000] {
         let plan = ChurnPlan::parse(&format!("rate={rate},seed=7,links=3")).unwrap();
         let mut source = ChurnSource::new(ring(16), &plan, 16, 100_000);
-        let table = source.table();
         let engine = Engine::new(
             EngineConfig {
                 shards: 2,
@@ -202,13 +195,6 @@ fn churn_run_detects_every_trapped_flow() {
             .map(|s| s.route_swaps_observed)
             .sum();
         assert!(swaps > 0, "rate {rate}: workers observed the swaps");
-        // Old generations were reclaimed while traffic flowed.
-        assert!(table.reclaimed() > 0, "rate {rate}");
-        assert!(
-            table.retained() <= 1,
-            "rate {rate}: {} retained",
-            table.retained()
-        );
     }
 }
 

@@ -46,9 +46,11 @@ fn topologies_too_small_to_run_are_usage_errors_not_panics() {
 
 #[test]
 fn fault_sweep_rows_keep_every_accounting_identity() {
-    let out = format!("{}/fault_sweep.json", env!("CARGO_TARGET_TMPDIR"));
-    let run = Command::new(env!("CARGO_BIN_EXE_unroller-engine"))
-        .args([
+    // The second sweep runs the verdict memo too: every row's
+    // divergence is gated, and its counters printed, at its multiplier.
+    for memo in [false, true] {
+        let out = format!("{}/fault_sweep_{memo}.json", env!("CARGO_TARGET_TMPDIR"));
+        let mut args = vec![
             "--shards",
             "2",
             "--policy",
@@ -61,25 +63,47 @@ fn fault_sweep_rows_keep_every_accounting_identity() {
             "0,1",
             "--out",
             &out,
-        ])
-        .output()
-        .expect("spawn unroller-engine");
-    let stderr = String::from_utf8_lossy(&run.stderr);
-    assert_eq!(run.status.code(), Some(0), "{stderr}");
-    let sweep = std::fs::read_to_string(&out).expect("the sweep wrote its JSON");
-    // Each row ends with its `report` object, so the text after each
-    // `"report": {` opens one row's report.
-    let reports: Vec<&str> = sweep.split("\"report\": {").skip(1).collect();
-    assert_eq!(reports.len(), 2, "one report per multiplier");
-    for (row, report) in reports.iter().enumerate() {
-        for identity in ["accounted", "events_accounted", "outcomes_accounted"] {
-            assert!(
-                report.contains(&format!("\"{identity}\": true")),
-                "row {row}: {identity} missing or false"
-            );
+        ];
+        if memo {
+            args.push("--memo");
+        }
+        let run = Command::new(env!("CARGO_BIN_EXE_unroller-engine"))
+            .args(&args)
+            .output()
+            .expect("spawn unroller-engine");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(0), "{stderr}");
+        let sweep = std::fs::read_to_string(&out).expect("the sweep wrote its JSON");
+        // Each row ends with its `report` object, so the text after each
+        // `"report": {` opens one row's report.
+        let reports: Vec<&str> = sweep.split("\"report\": {").skip(1).collect();
+        assert_eq!(reports.len(), 2, "one report per multiplier");
+        for (row, report) in reports.iter().enumerate() {
+            for identity in ["accounted", "events_accounted", "outcomes_accounted"] {
+                assert!(
+                    report.contains(&format!("\"{identity}\": true")),
+                    "row {row}: {identity} missing or false"
+                );
+            }
+            if memo {
+                assert!(
+                    report.contains("\"divergence\": 0"),
+                    "row {row}: memo diverged or missing"
+                );
+            }
+        }
+        assert!(!sweep.contains("accounted\": false"), "{sweep}");
+        let memo_lines: Vec<&str> = stderr.lines().filter(|l| l.starts_with("memo:")).collect();
+        let expected: &[&str] = if memo {
+            &[" at multiplier 0", " at multiplier 1"]
+        } else {
+            &[]
+        };
+        assert_eq!(memo_lines.len(), expected.len(), "{stderr}");
+        for (line, context) in memo_lines.iter().zip(expected) {
+            assert!(line.ends_with(context), "{line}");
         }
     }
-    assert!(!sweep.contains("accounted\": false"), "{sweep}");
 }
 
 /// The array `key` holds in compactly rendered JSON, brackets included.

@@ -287,8 +287,12 @@ fn main() {
     if !invariant {
         failures.push("an oracle cross-domain loop was neither localized nor reported".to_string());
     }
-    if !outcome.accounted() {
-        failures.push("accounting identities violated".to_string());
+    let broken = outcome.broken_identities();
+    if !broken.is_empty() {
+        failures.push(format!(
+            "accounting identities violated: {}",
+            broken.join(", ")
+        ));
     }
     if let Some(min) = opts.min_recall {
         if outcome.recall < min {

@@ -137,10 +137,25 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    /// Whether every accounting identity held: engine packet
-    /// accounting and bus message conservation.
+    /// The accounting identities the run broke, by name: the engine
+    /// report's three (`accounted`, `events_accounted`,
+    /// `outcomes_accounted`) and bus message conservation
+    /// (`bus_conserved`).
+    pub fn broken_identities(&self) -> Vec<&'static str> {
+        [
+            ("accounted", self.engine.accounted()),
+            ("events_accounted", self.engine.events_accounted()),
+            ("outcomes_accounted", self.engine.outcomes_accounted()),
+            ("bus_conserved", self.bus.conserved(self.bus_in_flight)),
+        ]
+        .into_iter()
+        .filter_map(|(name, holds)| (!holds).then_some(name))
+        .collect()
+    }
+
+    /// Whether every accounting identity held.
     pub fn accounted(&self) -> bool {
-        self.engine.accounted() && self.bus.conserved(self.bus_in_flight)
+        self.broken_identities().is_empty()
     }
 }
 
@@ -359,6 +374,23 @@ mod tests {
         let outcome = run_scenario(&cfg).expect("valid scenario");
         assert_eq!(outcome.recall, 1.0, "{:?}", outcome.federation);
         assert!(outcome.accounted(), "conservation under chaos");
+    }
+
+    #[test]
+    fn a_broken_engine_identity_fails_the_scenario() {
+        let cfg = ScenarioConfig {
+            packets: 2_000,
+            flows: 8,
+            ..ScenarioConfig::default()
+        };
+        let mut outcome = run_scenario(&cfg).expect("valid scenario");
+        assert!(outcome.accounted());
+        outcome.engine.shard_snapshots[0].delivered += 1;
+        assert!(!outcome.accounted(), "a per-shard outcome went missing");
+        assert_eq!(outcome.broken_identities(), ["outcomes_accounted"]);
+        outcome.engine.shard_snapshots[0].delivered -= 1;
+        outcome.engine.shard_snapshots[0].events_sent += 1;
+        assert_eq!(outcome.broken_identities(), ["events_accounted"]);
     }
 
     #[test]
